@@ -27,9 +27,9 @@ from .identities import (IdentityReport, TorsionPrediction, battery_reports,
                          verify_ruelle_functional_equation,
                          verify_selberg_rho_decomposition, verify_zograf_ratio)
 from .spectrum import (DomainError, GeodesicEntry, GeodesicPower, GrowthModel,
-                       LengthSpectrum, SpectrumError, flip_spins, parse_spectrum,
-                       parse_spectrum_csv, powers_up_to, serialize_spectrum,
-                       tail_bound)
+                       LengthSpectrum, PowerTable, SpectrumError, flip_spins,
+                       parse_spectrum, parse_spectrum_csv, powers_up_to,
+                       serialize_spectrum, tail_bound)
 from .zeta import (EvalParams, ZetaValue, ruelle_rho, ruelle_sigma, selberg_rho,
                    selberg_sigma, zograf_F, zograf_G)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,22 +47,39 @@ class CliError(Exception):
     """Input/usage error; maps to exit status 2."""
 
 
+def _strict(obj):
+    # reports are strict JSON: non-finite floats become null, the flags say why
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _emit(doc, output: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
     if output:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _load_spectrum(args) -> LengthSpectrum:
-    if args.spectrum is None:
-        raise CliError("this command needs --spectrum")
-    path = Path(args.spectrum)
+def _read_text(path: Path, what: str) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read spectrum file: {exc}") from None
+        raise CliError(f"cannot read {what} file: {exc}") from None
+
+
+def _load_spectrum(args, name: str | None = None) -> LengthSpectrum:
+    """The --spectrum file, or the spectrum file ``name`` read the same way."""
+    name = args.spectrum if name is None else name
+    if name is None:
+        raise CliError("this command needs --spectrum")
+    path = Path(name)
+    text = _read_text(path, "spectrum")
     try:
         if path.suffix.lower() == ".csv":
             if args.l_max is None:
@@ -74,18 +92,19 @@ def _load_spectrum(args) -> LengthSpectrum:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _load_invariants(args, required: bool = True) -> ManifoldInvariants | None:
-    if args.invariants is None:
+def _load_invariants(args, required: bool = True,
+                     name: str | None = None) -> ManifoldInvariants | None:
+    """The --invariants file, or the invariants file ``name`` read the same way."""
+    name = args.invariants if name is None else name
+    if name is None:
         if required:
             raise CliError("this command needs --invariants")
         return None
+    text = _read_text(Path(name), "invariants")
     try:
-        text = Path(args.invariants).read_text(encoding="utf-8")
         return parse_invariants(text)
-    except OSError as exc:
-        raise CliError(f"cannot read invariants file: {exc}") from None
     except ValueError as exc:
-        raise CliError(f"{args.invariants}: {exc}") from None
+        raise CliError(f"{name}: {exc}") from None
 
 
 def _params(args, spec: LengthSpectrum) -> EvalParams:
@@ -281,10 +300,10 @@ def _single_report(args, spec, inv, p) -> IdentityReport | dict:
     if ident == "main-theorem":
         claimed = None
         if args.claimed_invariants:
-            claimed = parse_invariants(Path(args.claimed_invariants).read_text(encoding="utf-8"))
+            claimed = _load_invariants(args, name=args.claimed_invariants)
         reference = None
         if args.reference_spectrum:
-            reference = parse_spectrum(Path(args.reference_spectrum).read_text(encoding="utf-8"))
+            reference = _load_spectrum(args, name=args.reference_spectrum)
         return main_theorem_residual(spec, _req_inv(inv), args.n, args.parity, p=p,
                                      tol=max(tol, 1e-9), claimed=claimed,
                                      reference_spectrum=reference)

@@ -110,9 +110,16 @@ def parse_invariants(text: str) -> ManifoldInvariants:
             ki = int(k)
         except ValueError:
             raise ValueError(f"eta key {k!r} is not an integer") from None
-        eta[ki] = float(v)
-    return ManifoldInvariants(float(doc["volume"]), float(doc["cs"]), eta,
+        eta[ki] = _real(f"eta[{k!r}]", v)
+    return ManifoldInvariants(_real("volume", doc["volume"]), _real("cs", doc["cs"]), eta,
                               str(doc.get("label", "")))
+
+
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def serialize_invariants(inv: ManifoldInvariants) -> str:

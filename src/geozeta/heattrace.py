@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import discriminant_D, trace_rho
 from .continuation import ManifoldInvariants
-from .numerics import CompensatedSum
-from .spectrum import DomainError, GrowthModel, LengthSpectrum, powers_up_to
+from .numerics import fsum_complex
+from .spectrum import DomainError, GrowthModel, LengthSpectrum, PowerTable, powers_up_to
 from .zeta import EvalParams
 
 SQRT_PI = math.sqrt(math.pi)
@@ -51,6 +50,14 @@ def _identity_term(p: int, dim: int, volume: float, t: float) -> float:
     return dim * volume / (2.0 * math.pi ** 2) * SQRT_PI * (0.5 * t ** -1.5 + t ** -0.5)
 
 
+def _trace_rho(table: PowerTable, m: int) -> np.ndarray:
+    # chars.trace_rho per power: the lifted eigenvalue summed over weights m, m-2, ..., -m
+    if m < 0:
+        raise ValueError(f"symmetric-power index must be >= 0, got {m}")
+    lam = table.spin_sign * np.exp(0.5 * (table.length + 1j * table.angle))
+    return sum(lam ** (m - 2 * j) for j in range(m + 1))
+
+
 def heat_trace_geometric(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
                          p: int, t: float, params: EvalParams | None = None) -> HeatTraceResult:
     """Identity plus hyperbolic contributions at time t.
@@ -66,13 +73,13 @@ def heat_trace_geometric(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
     params = params or EvalParams.for_spectrum(spec)
     dim = m + 1
     ident = _identity_term(p, dim, inv.volume, t)
-    acc = CompensatedSum()
     gauss = 1.0 / math.sqrt(4.0 * math.pi * t)
-    for pw in powers_up_to(spec, params.l_cut):
-        weight = 1.0 if p == 0 else 2.0 * math.cos(pw.angle)
-        acc.add(pw.multiplicity * pw.base_length * trace_rho(pw, m) / discriminant_D(pw)
-                * weight * gauss * math.exp(-pw.length ** 2 / (4.0 * t)))
-    hyper = acc.value
+    table = powers_up_to(spec, params.l_cut)
+    weight = 1.0 if p == 0 else 2.0 * np.cos(table.angle)
+    # D(power) = e^L |1 - e^-(L + i theta)|^2, as in chars.discriminant_D
+    hyper = fsum_complex(table.multiplicity * table.base_length * _trace_rho(table, m)
+                         / (np.exp(table.length) * table.denominator)
+                         * weight * gauss * np.exp(-table.length ** 2 / (4.0 * t)))
     growth = params.growth if params.growth is not None else GrowthModel.fit(spec)
     # every omitted power has length > l_cut, so its wave factor is below
     # gauss * e^(-l_cut^2 / 4t); the count comes from the growth envelope

@@ -1,15 +1,26 @@
 """Deterministic complex accumulation and branch-safe log helpers.
 
-All Euler products in this package are accumulated in log space, in a fixed
-enumeration order, with Neumaier compensated summation.  That keeps rounding
-error additive rather than multiplicative over ~1e5 factors and makes every
-evaluation bit-reproducible regardless of how callers parallelize across
-grid points.
+All Euler products in this package are accumulated in log space.  The
+vectorized evaluators sum their term arrays with ``fsum_complex``: each of
+the real and imaginary parts is correctly rounded (``math.fsum``), so the
+result does not depend on term order and rounding error does not grow with
+the ~1e5 factors.  The scalar reference routes (the brute-force and
+determinant oracles) feed terms in a fixed order to a Neumaier
+``CompensatedSum``.  Either way every evaluation is bit-reproducible
+regardless of how callers parallelize across grid points.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+
+import numpy as np
+
+
+def fsum_complex(terms: np.ndarray) -> complex:
+    """Correctly rounded sum of a complex array, real and imaginary parts apart."""
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:

@@ -11,6 +11,10 @@ in [0, pi]; every consumer then adds the mirror class with angle 2*pi - theta
 and the same lift sign.
 
 Spectra are immutable after construction and safe to share across threads.
+The power enumeration of a spectrum is built once per (spectrum, l_cut) as a
+read-only ``PowerTable`` of numpy columns, cached and shared by every
+evaluator, so each Euler product is one array expression over that table,
+summed correctly rounded with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,6 +101,12 @@ class LengthSpectrum:
                     "merge duplicates into one entry via multiplicity"
                 )
             seen.add(key)
+        # every cache keyed on a spectrum hashes it; do the O(entries) work once
+        object.__setattr__(self, "_hash", hash((self.entries, self.l_max, self.oriented,
+                                                self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def build(cls, entries: Iterable[GeodesicEntry], l_max: float, oriented: bool = True,
@@ -168,23 +181,83 @@ def power_holonomy(length: float, angle: float, spin_sign: int, m: int) -> tuple
     return m * length, red, sign
 
 
-def powers_up_to(spec: LengthSpectrum, l_cut: float) -> tuple[GeodesicPower, ...]:
+_TABLE_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False)
+class PowerTable:
+    """Every power gamma_0^m of total length <= l_cut, as read-only columns.
+
+    Row i is the i-th power in the fixed enumeration order; the first nine
+    columns are the fields of ``GeodesicPower`` and iterating the table yields
+    those rows.  ``weight`` is multiplicity / m, the log-series coefficient,
+    and ``denominator`` is the Selberg factor
+    (1 - e^-(L + i theta)) (1 - e^-(L - i theta)) = |1 - e^-(L + i theta)|^2.
+    """
+
+    base_index: np.ndarray
+    m: np.ndarray
+    length: np.ndarray
+    angle: np.ndarray
+    spin_sign: np.ndarray
+    multiplicity: np.ndarray
+    base_length: np.ndarray
+    base_angle: np.ndarray
+    base_spin_sign: np.ndarray
+    weight: np.ndarray
+    denominator: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __iter__(self) -> Iterator[GeodesicPower]:
+        columns = [getattr(self, f.name).tolist() for f in fields(GeodesicPower)]
+        return (GeodesicPower(*row) for row in zip(*columns))
+
+
+def powers_up_to(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     """Every power gamma_0^m with total length m*l_0 <= l_cut, exactly once.
 
     Order is ascending total length, ties broken by expanded-class index and
     then by m; fixed globally so all downstream summations are reproducible.
+    The table is built once per (spectrum, l_cut) and process, and shared.
     """
     if not (l_cut > 0):
         raise DomainError(f"l_cut must be positive, got {l_cut!r}")
-    out: list[GeodesicPower] = []
-    for cls in _expanded_classes(spec):
-        m_top = int(math.floor(l_cut / cls.length + 1e-12))
-        for m in range(1, m_top + 1):
-            length, angle, sign = power_holonomy(cls.length, cls.angle, cls.spin_sign, m)
-            out.append(GeodesicPower(cls.index, m, length, angle, sign,
-                                     cls.multiplicity, cls.length, cls.angle, cls.spin_sign))
-    out.sort(key=lambda p: (p.length, p.base_index, p.m))
-    return tuple(out)
+    with _TABLE_LOCK:  # concurrent first calls must not build the table twice
+        return _power_table(spec, l_cut)
+
+
+@lru_cache(maxsize=32)
+def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
+    # vectorized power_holonomy over every (class, m), then the global sort
+    classes = _expanded_classes(spec)
+    base_length = np.array([c.length for c in classes], dtype=float)
+    base_angle = np.array([c.angle for c in classes], dtype=float)
+    base_spin = np.array([c.spin_sign for c in classes], dtype=np.int64)
+    mult = np.array([c.multiplicity for c in classes], dtype=np.int64)
+    m_top = np.floor(l_cut / base_length + 1e-12).astype(np.int64)
+    base = np.repeat(np.arange(len(classes), dtype=np.int64), m_top)
+    starts = np.repeat(np.cumsum(m_top) - m_top, m_top)
+    m = np.arange(len(base), dtype=np.int64) - starts + 1
+    total = m * base_angle[base]
+    red = np.fmod(total, TWO_PI)
+    wraps = np.rint((total - red) / TWO_PI).astype(np.int64)
+    over = red >= TWO_PI  # guard against fmod landing on the divisor through rounding
+    red = np.where(over, red - TWO_PI, red)
+    wraps = wraps + over
+    sign = np.where(m % 2 == 1, base_spin[base], 1) * np.where(wraps % 2 == 1, -1, 1)
+    length = m * base_length[base]
+    order = np.lexsort((m, base, length))
+    base, m, length, red, sign = base[order], m[order], length[order], red[order], sign[order]
+    w = 1.0 - np.exp(-(length + 1j * red))
+    return PowerTable(base, m, length, red, sign, mult[base], base_length[base],
+                      base_angle[base], base_spin[base], mult[base] / m,
+                      w.real * w.real + w.imag * w.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +308,10 @@ def _fit_growth(spec: LengthSpectrum) -> GrowthModel:
     powers = powers_up_to(spec, spec.l_max)
     if not powers:
         return GrowthModel(0.0)
-    count = 0
-    logs = []
-    envelope = 0.0
-    for p in powers:
-        count += p.multiplicity
-        logs.append(math.log(count) - 2.0 * p.length)
-        envelope = max(envelope, count * math.exp(-2.0 * p.length))
-    c_ls = 2.0 * math.exp(sum(logs) / len(logs))
+    count = np.cumsum(powers.multiplicity)
+    logs = np.log(count) - 2.0 * powers.length
+    envelope = float(np.max(count * np.exp(-2.0 * powers.length)))
+    c_ls = 2.0 * math.exp(math.fsum(logs.tolist()) / len(logs))
     return GrowthModel(max(c_ls, 2.0 * envelope) * _FIT_SAFETY)
 
 
@@ -262,12 +331,12 @@ def _exact_ruelle_tail(spec: LengthSpectrum, a: float, l_cut: float) -> float:
 
 @lru_cache(maxsize=32)
 def _rigorous_growth(spec: LengthSpectrum, a_min: float, a_max: float, n_a: int) -> GrowthModel:
-    powers = powers_up_to(spec, spec.l_max)
-    if not powers:
+    lengths = powers_up_to(spec, spec.l_max).length.tolist()
+    if not lengths:
         return GrowthModel(0.0, rigorous=True)
     cuts = sorted({0.5 * spec.entries[0].length}
-                  | {p.length * (1.0 - 1e-9) for p in powers}
-                  | {p.length for p in powers})
+                  | {length * (1.0 - 1e-9) for length in lengths}
+                  | set(lengths))
     best = 0.0
     ratio = (a_max / a_min) ** (1.0 / (n_a - 1))
     a = a_min

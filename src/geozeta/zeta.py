@@ -1,11 +1,14 @@
 """Truncated Euler products: weight-k Ruelle and Selberg zeta functions,
 their symmetric-power twists, and the even/odd Zograf infinite products.
 
-Every evaluator accumulates the log of its product over the deterministic
-power enumeration (ascending total length, ties by class index then power),
+Every evaluator sums the log of its product over the deterministic power
+enumeration (ascending total length, ties by class index then power),
 truncated at total length l_cut, and exponentiates once at the end.  The
-Selberg double product over (p, q) >= 0 is summed in closed form per power,
-so a single enumeration drives every object.
+enumeration is the cached ``PowerTable`` of the spectrum: each log series is
+one numpy expression over its columns, summed correctly rounded with
+``math.fsum``, so results do not depend on summation order.  The Selberg
+double product over (p, q) >= 0 is summed in closed form per power, so a
+single table drives every object.
 
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
@@ -20,9 +23,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chars import sigma_char
-from .numerics import CompensatedSum
-from .spectrum import GeodesicPower, GrowthModel, LengthSpectrum, powers_up_to, tail_bound
+import numpy as np
+
+from .numerics import fsum_complex
+from .spectrum import GrowthModel, LengthSpectrum, PowerTable, powers_up_to, tail_bound
 
 FLAG_FORMAL = "formal-truncation"
 FLAG_INCOMPLETE = "incomplete-spectrum"
@@ -112,11 +116,12 @@ def _selberg_prefactor(spec: LengthSpectrum) -> float:
     return worst
 
 
-def _power_denominator(pw: GeodesicPower) -> complex:
-    # (1 - e^-m(l0+i t0)) (1 - e^-m(l0-i t0)), using the reduced power angle
-    x = cmath.exp(complex(-pw.length, -pw.angle))
-    y = cmath.exp(complex(-pw.length, pw.angle))
-    return (1.0 - x) * (1.0 - y)
+def _sigma_terms(table: PowerTable, k: int, s: complex) -> np.ndarray:
+    # per power: -(multiplicity/m) sigma_k(power) e^(-s L), sigma_k as in chars.sigma_char
+    chi = np.exp(0.5j * k * table.angle)
+    if k % 2:
+        chi = table.spin_sign * chi
+    return -table.weight * chi * np.exp(-s * table.length)
 
 
 def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -126,11 +131,8 @@ def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Zet
     global enumeration, so each (class, m) contributes -sigma_k(power) e^(-s L) / m.
     """
     s = complex(s)
-    acc = CompensatedSum()
-    for pw in powers_up_to(spec, p.l_cut):
-        term = -(pw.multiplicity / pw.m) * sigma_char(pw, k) * cmath.exp(-s * pw.length)
-        acc.add(term)
-    return _finish(spec, p, acc.value, s.real, s.real > 2.0)
+    log_value = fsum_complex(_sigma_terms(powers_up_to(spec, p.l_cut), k, s))
+    return _finish(spec, p, log_value, s.real, s.real > 2.0)
 
 
 def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -140,12 +142,9 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
     -sigma_k(power) e^(-s L) / (m (1-e^-m(l+it)) (1-e^-m(l-it))).
     """
     s = complex(s)
-    acc = CompensatedSum()
-    for pw in powers_up_to(spec, p.l_cut):
-        term = (-(pw.multiplicity / pw.m) * sigma_char(pw, k) * cmath.exp(-s * pw.length)
-                / _power_denominator(pw))
-        acc.add(term)
-    return _finish(spec, p, acc.value, s.real, s.real > 2.0,
+    table = powers_up_to(spec, p.l_cut)
+    log_value = fsum_complex(_sigma_terms(table, k, s) / table.denominator)
+    return _finish(spec, p, log_value, s.real, s.real > 2.0,
                    prefactor=_selberg_prefactor(spec) if spec.entries else 1.0)
 
 
@@ -232,23 +231,19 @@ def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
                          p.l_cut, flags)
     if method != "direct":
         raise ValueError(f"method must be 'auto', 'ratio' or 'direct', got {method!r}")
-    powers = powers_up_to(spec, p.l_cut)
+    table = powers_up_to(spec, p.l_cut)
     k_top = _k_top(spec)
-    acc = CompensatedSum()
-    k_tail = 0.0
-    for pw in powers:
-        for k in range(k_top + 1):
-            acc.add(-(pw.multiplicity / pw.m)
-                    * sigma_char(pw, layer_char(k))
-                    * cmath.exp(-(s + layer_shift(k)) * pw.length))
-        # remaining k-layers bounded by a geometric series in e^-L
-        r = math.exp(-pw.length)
-        k_tail += (pw.multiplicity / pw.m) * math.exp(-s.real * pw.length) \
-            * math.exp(-layer_shift(k_top + 1) * pw.length) / (1.0 - r)
+    # the literal k-layer sum, one vector per layer: never k_top x powers at once
+    layers = [fsum_complex(_sigma_terms(table, layer_char(k), s + layer_shift(k)))
+              for k in range(k_top + 1)]
+    log_value = fsum_complex(np.array(layers))
+    # remaining k-layers bounded by a geometric series in e^-L
+    k_tail = math.fsum((table.weight * np.exp(-s.real * table.length)
+                        * np.exp(-layer_shift(k_top + 1) * table.length)
+                        / (1.0 - np.exp(-table.length))).tolist())
     re_eff = s.real + layer_shift(0)
-    out = _finish(spec, p, acc.value, re_eff, in_domain, extra_bound=k_tail,
-                  flags=(FLAG_DIRECT,))
-    return out
+    return _finish(spec, p, log_value, re_eff, in_domain, extra_bound=k_tail,
+                   flags=(FLAG_DIRECT,))
 
 
 @lru_cache(maxsize=128)

@@ -131,6 +131,28 @@ class TestVerify:
                      "--claimed-invariants", str(claimed)])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--claimed-invariants", "--reference-spectrum"])
+    def test_main_theorem_side_file_missing(self, tmp_path, spec_file, inv_file, capsys,
+                                            flag):
+        code = main(["verify", "--identity", "main-theorem", "--spectrum", spec_file,
+                     "--invariants", inv_file, "--n", "3", "--parity", "even",
+                     flag, str(tmp_path / "absent.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--claimed-invariants", "--reference-spectrum"])
+    def test_main_theorem_side_file_malformed(self, tmp_path, spec_file, inv_file, capsys,
+                                              flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"volume": null, "cs": 0.0}')
+        code = main(["verify", "--identity", "main-theorem", "--spectrum", spec_file,
+                     "--invariants", inv_file, "--n", "3", "--parity", "even",
+                     flag, str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and len(err.strip().splitlines()) == 1
+
     def test_identity_needing_invariants(self, spec_file, capsys):
         code = main(["verify", "--identity", "ruelle-feq", "--spectrum", spec_file,
                      "--m", "0"])
@@ -180,3 +202,25 @@ def test_l_cut_beyond_l_max_needs_flag(spec_file, capsys):
     code = main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma",
                  "--k", "0", "--s", "3,0", "--l-cut", "99", "--allow-incomplete"])
     assert code == 0
+
+
+def strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json(tmp_path, spec_file):
+    out = tmp_path / "e.json"
+    # outside the half-plane no bound is claimed: the bound is infinite
+    assert main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma", "--k", "0",
+                 "--s", "1.5,0", "--output", str(out)]) == 0
+    doc = strict_loads(out.read_text())
+    assert doc[0]["abs_error_bound"] is None
+    assert "formal-truncation" in doc[0]["flags"]
+    # a negative symmetric-power index errors every grid point: NaN residuals
+    assert main(["verify", "--identity", "prop-ruelle-dec", "--spectrum", spec_file,
+                 "--m", "-1", "--output", str(out)]) == 1
+    doc = strict_loads(out.read_text())
+    assert all(pt["residual"] is None for pt in doc["points"])
+    assert all(pt["flags"][0].startswith("error: ") for pt in doc["points"])

@@ -116,3 +116,13 @@ class TestInvariantsIO:
             parse_invariants('{"volume": -1.0, "cs": 0.0}')
         with pytest.raises(ValueError):
             parse_invariants('{"volume": 1.0, "cs": 0.0, "eta": {"x": 1}}')
+
+    @pytest.mark.parametrize("doc", [
+        '{"volume": null, "cs": 0.0}',
+        '{"volume": 1.0, "cs": null}',
+        '{"volume": 1.0, "cs": 0.0, "eta": {"1": null}}',
+        '{"volume": 1.0, "cs": 0.0, "eta": {"1": [0.5]}}',
+    ])
+    def test_null_or_non_numeric_is_value_error(self, doc):
+        with pytest.raises(ValueError, match="must be a real number"):
+            parse_invariants(doc)
