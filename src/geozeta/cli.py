@@ -58,6 +58,11 @@ def _strict(obj):
     return obj
 
 
+def _csv_number(x: float) -> str:
+    # the CSV counterpart of the JSON null: a non-finite number is an empty field
+    return repr(x) if math.isfinite(x) else ""
+
+
 def _emit(doc, output: str | None) -> None:
     text = json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
     if output:
@@ -231,9 +236,9 @@ def cmd_eval(args) -> int:
         # lossy export: log_value and per-flag structure dropped
         lines = ["s_re,s_im,value_re,value_im,abs_error_bound,in_convergence_domain,flags"]
         for s, zv in zip(points, values):
-            lines.append(f"{s.real!r},{s.imag!r},{zv.value.real!r},{zv.value.imag!r},"
-                         f"{zv.abs_error_bound!r},{int(zv.in_convergence_domain)},"
-                         f"{';'.join(zv.flags)}")
+            nums = (s.real, s.imag, zv.value.real, zv.value.imag, zv.abs_error_bound)
+            lines.append(",".join(_csv_number(x) for x in nums)
+                         + f",{int(zv.in_convergence_domain)},{';'.join(zv.flags)}")
         text = "\n".join(lines) + "\n"
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")

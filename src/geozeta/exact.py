@@ -12,6 +12,14 @@ anywhere, so a failure is a formula bug, never noise.
 
 Reflection and functional-equation identities are out of reach here: they
 involve transcendental exp(Vol ...) factors.
+
+A Gaussian rational is stored as three Python ints (a + b i) / d in lowest
+terms, so each field operation is a few integer products and one gcd, and
+equality is a comparison of triples.  Where an identity's two sides share a
+factor, they build it by different routes (selberg-rho-dec sums the double
+product's two geometric series on the left and divides by the shared
+denominator on the right), so a wrong shared helper still shows as a failing
+term.
 """
 
 from __future__ import annotations
@@ -26,69 +34,129 @@ from .spectrum import GeodesicEntry, LengthSpectrum
 Rational = Fraction
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Element of Q(i) with exact field arithmetic."""
+    """Element (a + b i) / d of Q(i) with exact field arithmetic.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    The three Python ints are kept with d > 0 and gcd(a, b, d) = 1.  That form
+    is canonical, so == and hash are exact, and each operation costs a few
+    integer products and one gcd.  ``re`` and ``im`` read back as Fractions;
+    int and Fraction operands mix in on the right of + - / and either side of *.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0) -> None:
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is already coprime
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+        return cls(re, im)
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __add__(self, other):
+        a, b, d = _triple(other)
+        return _reduced(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
+
+    def __sub__(self, other):
+        a, b, d = _triple(other)
+        return _reduced(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re * other.re - self.im * other.im,
-                                    self.re * other.im + self.im * other.re)
-        return GaussianRational(self.re * Fraction(other), self.im * Fraction(other))
+        a, b, d = _triple(other)
+        if b == 0:
+            return _reduced(self._a * a, self._b * a, self._d * d)
+        return _reduced(self._a * a - self._b * b, self._a * b + self._b * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, GaussianRational):
-            norm = other.re * other.re + other.im * other.im
-            if norm == 0:
+        a, b, d = _triple(other)
+        if b == 0:
+            if a == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return self * GaussianRational(other.re / norm, -other.im / norm)
-        return GaussianRational(self.re / Fraction(other), self.im / Fraction(other))
+            return _reduced(self._a * d, self._b * d, self._d * a)
+        # multiply by the conjugate over the norm a^2 + b^2 > 0
+        return _reduced((self._a * a + self._b * b) * d, (self._b * a - self._a * b) * d,
+                        self._d * (a * a + b * b))
 
     def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            return GR_ONE / self.__pow__(-exponent)
-        out = GR_ONE
-        base = self
-        e = exponent
+        base = self if exponent >= 0 else GR_ONE / self
+        x, y = base._a, base._b
+        a, b = 1, 0
+        e = abs(exponent)
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                a, b = a * x - b * y, a * y + b * x
             e >>= 1
-        return out
+            if e:
+                x, y = x * x - y * y, 2 * x * y
+        return _reduced(a, b, base._d ** abs(exponent))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
 
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int / int is correctly rounded, as is float(Fraction)
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
         return f"({self.re})+({self.im})i"
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    # wrap a triple already in canonical form
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    # (a + b i) / d for any nonzero d, brought to canonical form
+    g = math.gcd(a, b, d)
+    if d < 0:
+        g = -g
+    return _canonical(a // g, b // g, d // g)
+
+
+def _triple(value) -> tuple[int, int, int]:
+    if isinstance(value, GaussianRational):
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return value, 0, 1
+    value = Fraction(value)
+    return value.numerator, 0, value.denominator
 
 
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
@@ -234,9 +302,12 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
             rhs = rhs + _r_core(cls, mu, two_s, m - 2 * l, 2 * l - m)
         return lhs, rhs
     if identity_id == "selberg-rho-dec":
-        denom = _denominators(cls, mu)
+        # the left side sums the (p, q) double product as two geometric series,
+        # apart from the right side's _denominators
+        h2, u_mu = cls.q ** mu, cls.u ** mu
         lhs = (_trace_core(cls, mu, m) * (cls.u_half ** (k * mu))
-               * cls.q_sqrt ** (two_s * mu)) / denom
+               * cls.q_sqrt ** (two_s * mu)) / (GR_ONE - u_mu.conj() * h2) / (GR_ONE - u_mu * h2)
+        denom = _denominators(cls, mu)
         rhs = GR_ZERO
         for l in range(m + 1):
             rhs = rhs + _z_core(cls, mu, two_s, m - 2 * l + k, 2 * l - m, denom)
@@ -253,10 +324,10 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
         denom = _denominators(cls, mu)
         tr = _trace_core(cls, mu, m)
         lhs = tr * cls.q_sqrt ** (two_s * mu)
-        rhs = (tr * (_z_core_plain(cls, mu, two_s, 0, 0)
-                     + _z_core_plain(cls, mu, two_s, 0, 4)
-                     - _z_core_plain(cls, mu, two_s, 2, 2)
-                     - _z_core_plain(cls, mu, two_s, -2, 2))) / denom
+        rhs = (tr * (_r_core(cls, mu, two_s, 0, 0)
+                     + _r_core(cls, mu, two_s, 0, 4)
+                     - _r_core(cls, mu, two_s, 2, 2)
+                     - _r_core(cls, mu, two_s, -2, 2))) / denom
         return lhs, rhs
     if identity_id == "zograf-F":
         # sum over k >= n of the R(sigma_-2k, s+k) cores, as an exact geometric series
@@ -278,11 +349,6 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
         return lhs, rhs
     raise ValueError(f"unknown exact identity {identity_id!r}; "
                      f"one of {', '.join(EXACT_IDENTITIES)}")
-
-
-def _z_core_plain(cls: ExactClass, mu: int, two_s: int, k: int, two_shift: int) -> GaussianRational:
-    # sigma_k^mu e^-(s+shift) mu l without the (p, q) denominator
-    return (cls.u_half ** (k * mu)) * cls.q_sqrt ** ((two_s + two_shift) * mu)
 
 
 def exact_identity_check(classes: Sequence[ExactClass], identity_id: str, s,

@@ -7,6 +7,14 @@ decomposition vs. determinant oracle, Selberg ratio vs. direct product,
 direct Euler product vs. reflected functional-equation assembly) and the
 relative residual is reported per point.
 
+The two oracles never read the power table the closed-form evaluators share.
+The brute-force oracle multiplies out the literal (p, q) double product: per
+primitive class one numpy array holds every factor, its logs come from
+``numerics.log1m_array`` and are summed correctly rounded.  The determinant
+oracle rebuilds each class's characteristic polynomial by Newton's
+identities.  Both add their per-class logs with ``numerics.fsum_complex``,
+so their values do not depend on class order.
+
 A note on circularity: the special-value checks that need continuation
 (`main-theorem`, and `ruelle-feq`'s reflected side) consume the same volume
 and eta data on both sides, so on synthetic inputs they validate the
@@ -23,10 +31,12 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chars import HolonomyClass, sigma_char, trace_rho
 from .continuation import (ManifoldInvariants, ComplexVolume, eta_lookup,
                            reflect_selberg, selberg_anywhere)
-from .numerics import CompensatedSum, log1m
+from .numerics import fsum_complex, log1m_array
 from .spectrum import DomainError, LengthSpectrum, power_holonomy
 from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
@@ -124,7 +134,7 @@ def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
     """
     s = complex(s)
     dim = m + 1
-    acc = CompensatedSum()
+    class_logs = []
     for cls in spec.primitive_classes():
         power_sums = []
         for i in range(1, dim + 1):
@@ -142,8 +152,8 @@ def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
         for j in range(dim + 1):
             det += (-1) ** j * elem[j] * xp
             xp *= x
-        acc.add(cls.multiplicity * cmath.log(det))
-    return cmath.exp(acc.value)
+        class_logs.append(cls.multiplicity * cmath.log(det))
+    return cmath.exp(fsum_complex(class_logs))
 
 
 def _default_pq_max(spec: LengthSpectrum) -> int:
@@ -152,48 +162,47 @@ def _default_pq_max(spec: LengthSpectrum) -> int:
     return min(90, math.ceil(44.0 / spec.min_length()) + 4)
 
 
-def selberg_sigma_bruteforce(spec: LengthSpectrum, k: int, s: complex,
-                             pq_max: int | None = None) -> complex:
-    """Literal (p, q) double product, truncated at p + q <= pq_max."""
+def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
+                    pq_max: int | None) -> complex:
+    """Literal chi = sigma_k (x) rho_m double product over (p, q) >= 0, p + q <= pq_max.
+
+    Per class, one array holds the factor argument
+    lam^(m-2j) sigma_k e^-(p (l+i theta) + q (l-i theta)) e^-s l for every
+    eigenvalue weight j and every (p, q) pair; its logs are summed correctly
+    rounded, and the class sums likewise.  Only one class's array is alive at
+    a time.  The power table and the closed-form evaluators are not read, so
+    this stays an independent route.
+    """
     s = complex(s)
     if pq_max is None:
         pq_max = _default_pq_max(spec)
-    acc = CompensatedSum()
+    exponents = np.arange(pq_max + 1)
+    pp, qq = np.indices((pq_max + 1, pq_max + 1))
+    keep = pp + qq <= pq_max
+    pp, qq = pp[keep], qq[keep]
+    weights = m - 2 * np.arange(m + 1)
+    class_logs = []
     for cls in spec.primitive_classes():
         h = HolonomyClass(cls.length, cls.angle, cls.spin_sign)
-        sig = sigma_char(h, k)
         a = cmath.exp(-complex(cls.length, cls.angle))
         b = cmath.exp(-complex(cls.length, -cls.angle))
-        t = cmath.exp(-s * cls.length)
-        for pp in range(pq_max + 1):
-            ap = a ** pp
-            for qq in range(pq_max + 1 - pp):
-                acc.add(cls.multiplicity * log1m(sig * ap * b ** qq * t))
-    return cmath.exp(acc.value)
+        c = (sigma_char(h, k) * (a ** exponents)[pp] * (b ** exponents)[qq]
+             * cmath.exp(-s * cls.length))
+        x = np.multiply.outer(h.eigenvalue() ** weights, c)
+        class_logs.append(cls.multiplicity * fsum_complex(log1m_array(x)))
+    return cmath.exp(fsum_complex(class_logs))
+
+
+def selberg_sigma_bruteforce(spec: LengthSpectrum, k: int, s: complex,
+                             pq_max: int | None = None) -> complex:
+    """Literal (p, q) double product, truncated at p + q <= pq_max."""
+    return _double_product(spec, 0, k, s, pq_max)
 
 
 def selberg_rho_bruteforce(spec: LengthSpectrum, m: int, k: int, s: complex,
                            pq_max: int | None = None) -> complex:
     """Literal chi = rho_m double product with per-(p, q) determinant factors."""
-    s = complex(s)
-    if pq_max is None:
-        pq_max = _default_pq_max(spec)
-    acc = CompensatedSum()
-    for cls in spec.primitive_classes():
-        h = HolonomyClass(cls.length, cls.angle, cls.spin_sign)
-        sig = sigma_char(h, k)
-        lam = h.eigenvalue()
-        eigen = [lam ** (m - 2 * j) for j in range(m + 1)]
-        a = cmath.exp(-complex(cls.length, cls.angle))
-        b = cmath.exp(-complex(cls.length, -cls.angle))
-        t = cmath.exp(-s * cls.length)
-        for pp in range(pq_max + 1):
-            ap = a ** pp
-            for qq in range(pq_max + 1 - pp):
-                c = sig * ap * b ** qq * t
-                for ev in eigen:
-                    acc.add(cls.multiplicity * log1m(ev * c))
-    return cmath.exp(acc.value)
+    return _double_product(spec, m, k, s, pq_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,77 +1,38 @@
-"""Deterministic complex accumulation and branch-safe log helpers.
+"""Correctly rounded complex sums and a vectorized log(1 - x).
 
-All Euler products in this package are accumulated in log space.  The
-vectorized evaluators sum their term arrays with ``fsum_complex``: each of
-the real and imaginary parts is correctly rounded (``math.fsum``), so the
-result does not depend on term order and rounding error does not grow with
-the ~1e5 factors.  The scalar reference routes (the brute-force and
-determinant oracles) feed terms in a fixed order to a Neumaier
-``CompensatedSum``.  Either way every evaluation is bit-reproducible
-regardless of how callers parallelize across grid points.
+All Euler products in this package are accumulated in log space as numpy
+term arrays.  ``fsum_complex`` sums such an array with each of the real and
+imaginary parts correctly rounded (``math.fsum``), so the result does not
+depend on term order and rounding error does not grow with the number of
+factors.  Every evaluation is therefore bit-reproducible regardless of how
+callers parallelize across grid points.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 
-def fsum_complex(terms: np.ndarray) -> complex:
-    """Correctly rounded sum of a complex array, real and imaginary parts apart."""
+def fsum_complex(terms) -> complex:
+    """Correctly rounded sum of a complex array of any shape, real and imaginary parts apart."""
+    terms = np.ravel(terms)
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
-def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
-    # Error-free transformation: s + x = t + (compensation added to c).
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+def log1m_array(x: np.ndarray) -> np.ndarray:
+    """log(1 - x), principal branch, elementwise and accurate for tiny |x|.
 
-
-class CompensatedSum:
-    """Neumaier accumulator for complex terms fed in a fixed order."""
-
-    __slots__ = ("_sr", "_cr", "_si", "_ci")
-
-    def __init__(self) -> None:
-        self._sr = 0.0
-        self._cr = 0.0
-        self._si = 0.0
-        self._ci = 0.0
-
-    def add(self, z: complex) -> None:
-        self._sr, self._cr = _neumaier_step(self._sr, self._cr, z.real)
-        self._si, self._ci = _neumaier_step(self._si, self._ci, z.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
-
-
-_SERIES_CUTOFF = 0.5
-_SERIES_MAX_TERMS = 256
-
-
-def log1m(x: complex) -> complex:
-    """log(1 - x), principal branch.
-
-    Uses the power series -sum_{m>=1} x^m / m for |x| < 1/2 (the regime every
-    convergent Euler-product factor lives in) and the principal log otherwise.
-    Termination depends only on x, so results are deterministic.
+    ``w = 1 - x`` loses the low bits of x, but log(w) / (w - 1) is smooth and
+    is evaluated at the rounded w exactly, so log(w) * ((-x) / (w - 1))
+    keeps the relative accuracy that numpy's complex ``log1p`` loses near
+    zero (Goldberg's log1p device).  For |x| <= 2^-53, which includes every
+    x with 1 - x rounding to 1, the two-term series -x - x^2/2 is already
+    exact to working precision and the division is skipped: there w - 1 can
+    be subnormal and its reciprocal overflow.
     """
-    if abs(x) < _SERIES_CUTOFF:
-        term = x
-        acc = -x
-        for m in range(2, _SERIES_MAX_TERMS):
-            term *= x
-            delta = term / m
-            acc -= delta
-            if abs(delta) <= 1e-18 * max(abs(acc), 1e-300):
-                return acc
-        return acc
-    return cmath.log(1.0 - x)
+    x = np.asarray(x, dtype=complex)
+    tiny = np.abs(x) <= 2.0 ** -53
+    w = np.where(tiny, 2.0, 1.0 - x)  # 2 is a placeholder, discarded below
+    return np.where(tiny, -x - 0.5 * x * x, np.log(w) * ((-x) / (w - 1.0)))

@@ -224,3 +224,17 @@ def test_reports_are_strict_json(tmp_path, spec_file):
     doc = strict_loads(out.read_text())
     assert all(pt["residual"] is None for pt in doc["points"])
     assert all(pt["flags"][0].startswith("error: ") for pt in doc["points"])
+
+
+def test_csv_writes_non_finite_as_empty_field(tmp_path, spec_file):
+    out = tmp_path / "e.csv"
+    # 1.5 lies outside the half-plane (infinite bound); 3.0 inside (finite bound)
+    assert main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma", "--k", "0",
+                 "--grid", "1.5,3.0,2,0.0", "--csv", "--output", str(out)]) == 0
+    header, outside, inside = out.read_text().splitlines()
+    fields = dict(zip(header.split(","), outside.split(",")))
+    assert fields["abs_error_bound"] == ""
+    assert "formal-truncation" in fields["flags"]
+    assert "inf" not in outside and "nan" not in outside
+    bound = dict(zip(header.split(","), inside.split(",")))["abs_error_bound"]
+    assert math.isfinite(float(bound))

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geozeta.exact as exact
 from geozeta.exact import (EXACT_IDENTITIES, FIXTURE_CLASSES, ExactClass,
@@ -14,6 +17,149 @@ from geozeta.identities import (verify_four_selberg_quotient,
 from geozeta.zeta import EvalParams
 
 GR = GaussianRational.of
+
+
+@dataclass(frozen=True)
+class FractionPairGR:
+    """Reference Q(i) element as a pair of Fractions: the representation the
+    integer-triple class replaced, with the same public operations."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    @classmethod
+    def of(cls, re, im=0):
+        return cls(Fraction(re), Fraction(im))
+
+    def __add__(self, other):
+        return FractionPairGR(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPairGR(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionPairGR(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPairGR):
+            return FractionPairGR(self.re * other.re - self.im * other.im,
+                                  self.re * other.im + self.im * other.re)
+        return FractionPairGR(self.re * Fraction(other), self.im * Fraction(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionPairGR):
+            norm = other.re * other.re + other.im * other.im
+            if norm == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return self * FractionPairGR(other.re / norm, -other.im / norm)
+        return FractionPairGR(self.re / Fraction(other), self.im / Fraction(other))
+
+    def __pow__(self, exponent):
+        if exponent < 0:
+            return FractionPairGR(Fraction(1)) / self.__pow__(-exponent)
+        out = FractionPairGR(Fraction(1))
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def conj(self):
+        return FractionPairGR(self.re, -self.im)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+
+def pair(z):
+    return (z.re, z.im)
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+nonzero_pairs = st.tuples(fractions, fractions).filter(lambda t: t != (0, 0))
+
+
+class TestAgainstFractionPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(fractions, fractions, fractions, fractions)
+    def test_ring_operations(self, a, b, c, d):
+        x, y = GR(a, b), GR(c, d)
+        rx, ry = FractionPairGR.of(a, b), FractionPairGR.of(c, d)
+        assert pair(x + y) == pair(rx + ry)
+        assert pair(x - y) == pair(rx - ry)
+        assert pair(x * y) == pair(rx * ry)
+        assert pair(-x) == pair(-rx)
+        assert pair(x.conj()) == pair(rx.conj())
+        assert x.norm2() == rx.norm2()
+        assert x.is_zero() == rx.is_zero()
+        assert pair(x * c) == pair(rx * c) and pair(c * x) == pair(c * rx)
+        assert x.to_complex() == complex(rx.re, rx.im)
+        if (c, d) != (0, 0):
+            assert pair(x / y) == pair(rx / ry)
+        if c != 0:
+            assert pair(x / c) == pair(rx / c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonzero_pairs, st.integers(-7, 9))
+    def test_powers(self, parts, exponent):
+        x, rx = GR(*parts), FractionPairGR.of(*parts)
+        assert pair(x ** exponent) == pair(rx ** exponent)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fractions, fractions, st.integers(1, 40))
+    def test_canonical_form(self, a, b, scale):
+        # the same number built from unreduced parts is == and hashes alike
+        unreduced = GR(Fraction(a.numerator * scale, a.denominator * scale),
+                       Fraction(b.numerator * scale, b.denominator * scale))
+        via_ops = (GR(a, b) * scale) / scale
+        assert unreduced == GR(a, b) == via_ops
+        assert hash(unreduced) == hash(GR(a, b)) == hash(via_ops)
+
+    def test_lowest_terms_spot_check(self):
+        assert GR(2 / 4, 6 / 8) == GR(Fraction(1, 2), Fraction(3, 4))
+        assert hash(GR(2 / 4, 6 / 8)) == hash(GR(Fraction(1, 2), Fraction(3, 4)))
+        assert GR(Fraction(2, 4), Fraction(6, 8)).re == Fraction(1, 2)
+        assert len({GR(Fraction(2, 4), Fraction(6, 8)), GR(Fraction(1, 2), Fraction(3, 4))}) == 1
+        # (1 + i) / 2 squared is i / 2: a power can leave a common factor to cancel
+        assert GR(Fraction(1, 2), Fraction(1, 2)) ** 2 == GR(0, Fraction(1, 2))
+
+    def test_scalars_and_str(self):
+        x = GR(Fraction(3, 5), Fraction(-4, 5))
+        assert x + 1 == GR(Fraction(8, 5), Fraction(-4, 5))
+        assert x - Fraction(1, 5) == GR(Fraction(2, 5), Fraction(-4, 5))
+        assert GR(1) / x == x.conj()
+        assert x / Fraction(-3, 5) == GR(-1, Fraction(4, 3))
+        assert str(x) == "(3/5)+(-4/5)i"
+        assert x != Fraction(3, 5)
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        with pytest.raises(ZeroDivisionError):
+            GR(0) ** -1
+
+    def test_battery_ledgers_match_fraction_pairs(self, monkeypatch):
+        got = exact_battery(s_values=(4,), max_power=6)
+        # rerun the same formulas on the Fraction-pair representation
+        monkeypatch.setattr(exact, "GaussianRational", FractionPairGR)
+        monkeypatch.setattr(exact, "GR_ZERO", FractionPairGR.of(0))
+        monkeypatch.setattr(exact, "GR_ONE", FractionPairGR.of(1))
+        classes = [ExactClass(c.q_sqrt, FractionPairGR.of(c.u_half.re, c.u_half.im))
+                   for c in FIXTURE_CLASSES]
+        want = exact_battery(classes, s_values=(4,), max_power=6)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.identity_id, a.passed) == (b.identity_id, b.passed)
+            assert a.ledger.keys() == b.ledger.keys()
+            for key in a.ledger:
+                for side in ("lhs", "rhs"):
+                    assert pair(a.ledger[key][side]) == pair(b.ledger[key][side])
 
 
 class TestGaussianRational:
@@ -93,6 +239,20 @@ class TestExactChecks:
         result = exact_identity_check(FIXTURE_CLASSES, "ruelle-dec", 5, 6, m=1)
         assert not result.passed
         assert (result.first_failure.class_index, result.first_failure.power) == (0, 1)
+
+    def test_corrupted_denominator_caught(self, monkeypatch):
+        # the left side sums the double product as two geometric series, so a
+        # wrong (1 - a)(1 - b) on the right side shows at the first term
+        real_denominators = exact._denominators
+
+        def corrupted(cls, mu):
+            return real_denominators(cls, mu) * Fraction(1001, 1000)
+
+        monkeypatch.setattr(exact, "_denominators", corrupted)
+        for m, k in ((0, 0), (2, 1)):
+            result = exact_identity_check(FIXTURE_CLASSES, "selberg-rho-dec", 5, 6, m=m, k=k)
+            assert not result.passed
+            assert (result.first_failure.class_index, result.first_failure.power) == (0, 1)
 
     def test_ledger_deterministic(self):
         a = exact_identity_check(FIXTURE_CLASSES, "four-selberg", 4, 10, m=3)

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from geozeta import spectrum as spectrum_module
 from geozeta.chars import discriminant_D, sigma_char, trace_rho
 from geozeta.heattrace import heat_trace_geometric
-from geozeta.numerics import CompensatedSum
 from geozeta.spectrum import (TWO_PI, GeodesicEntry, GeodesicPower, LengthSpectrum,
                               flip_spins, power_holonomy, powers_up_to)
 from geozeta.zeta import (EvalParams, _k_top, ruelle_sigma, selberg_sigma, zograf_F,
                           zograf_G)
+from scalar_reference import CompensatedSum
 
 REL = 1e-13
 
