@@ -3,10 +3,11 @@ batteries, torsion prediction, and heat traces, all as machine-readable JSON.
 
 Exit-status contract, stable across commands: 0 success / verification pass,
 1 verification failure, 2 input or usage error.  Outputs are byte-identical
-for identical inputs regardless of --jobs: every dict is built in a fixed
-key order, floats print in shortest round-trip form, and each grid point's
-computation is internally sequenced.  Report rendering is data-only (JSON);
-plotting is out of scope.
+for identical inputs: every dict is built in a fixed key order, floats print
+in shortest round-trip form, and every computation runs in one fixed
+sequence.  ``verify`` reads its checks from the identity registry
+(``identities.IDENTITIES``).  Report rendering is data-only (JSON); plotting
+is out of scope.
 """
 
 from __future__ import annotations
@@ -14,31 +15,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .continuation import (EtaNotSuppliedError, ManifoldInvariants, parse_invariants)
-from .exact import exact_battery
+from .continuation import ManifoldInvariants, parse_invariants
 from .heattrace import heat_trace_geometric, small_time_fit
-from .identities import (IdentityReport, battery_tasks, main_theorem_residual,
-                         predict_torsion_ratio, verify_corollary_FG,
-                         verify_det_chain, verify_four_selberg_quotient,
-                         verify_reflection_involution, verify_rho_selberg_quotient,
-                         verify_ruelle_decomposition,
-                         verify_ruelle_functional_equation,
-                         verify_selberg_rho_decomposition, verify_zograf_ratio)
-from .spectrum import DomainError, LengthSpectrum, SpectrumError, parse_spectrum, parse_spectrum_csv
+from .identities import IDENTITIES, battery_reports, predict_torsion_ratio, run_identity
+from .spectrum import LengthSpectrum, SpectrumError, parse_spectrum, parse_spectrum_csv
 from .zeta import EvalParams, ruelle_rho, ruelle_sigma, selberg_rho, selberg_sigma, zograf_F, zograf_G
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 
-IDENTITY_CHOICES = ("prop-ruelle-dec", "selberg-rho-dec", "four-selberg", "rho-selberg",
-                    "zograf-ratio", "corollary-FG", "ruelle-feq", "det-chain",
-                    "reflect-involution", "main-theorem", "exact-oracle", "all")
+IDENTITY_CHOICES = (*IDENTITIES, "all")
 
 EVAL_KINDS = ("ruelle-sigma", "selberg-sigma", "ruelle-rho", "selberg-rho", "F", "G")
 
@@ -63,12 +53,18 @@ def _csv_number(x: float) -> str:
     return repr(x) if math.isfinite(x) else ""
 
 
-def _emit(doc, output: str | None) -> None:
-    text = json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+def _write(text: str, output: str | None) -> None:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}") from None
+
+
+def _emit(doc, output: str | None) -> None:
+    _write(json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n", output)
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -149,23 +145,6 @@ def _grid_points(args) -> list[complex]:
     raise CliError("one of --s or --grid is required")
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("GEOZETA_JOBS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -231,7 +210,7 @@ def cmd_eval(args) -> int:
     spec = _load_spectrum(args)
     p = _params(args, spec)
     points = _grid_points(args)
-    values = _pmap(lambda s: _zeta_point(spec, p, args, s), points, _jobs(args))
+    values = [_zeta_point(spec, p, args, s) for s in points]
     if args.csv:
         # lossy export: log_value and per-flag structure dropped
         lines = ["s_re,s_im,value_re,value_im,abs_error_bound,in_convergence_domain,flags"]
@@ -239,11 +218,7 @@ def cmd_eval(args) -> int:
             nums = (s.real, s.imag, zv.value.real, zv.value.imag, zv.abs_error_bound)
             lines.append(",".join(_csv_number(x) for x in nums)
                          + f",{int(zv.in_convergence_domain)},{';'.join(zv.flags)}")
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.output)
         return EXIT_OK
     doc = [
         {
@@ -259,90 +234,33 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _exact_oracle_report() -> dict:
-    results = exact_battery()
-    points = []
-    passed = True
-    for r in results:
-        ok = r.passed
-        passed = passed and ok
-        flags = [r.identity_id]
-        if r.first_failure is not None:
-            f = r.first_failure
-            flags.append(f"first failure at class {f.class_index}, power {f.power}")
-        points.append({"s": [0.0, 0.0], "residual": 0.0 if ok else 1.0, "flags": flags})
-    return {
-        "identity_id": "exact-oracle",
-        "tolerance": 0.0,
-        "passed": passed,
-        "max_residual": 0.0 if passed else 1.0,
-        "points": points,
-        "flags": ["exact-rational-arithmetic"],
-    }
-
-
-def _single_report(args, spec, inv, p) -> IdentityReport | dict:
-    ident = args.identity
-    tol = args.tol
-    if ident == "prop-ruelle-dec":
-        return verify_ruelle_decomposition(spec, args.m, p=p, tol=tol)
-    if ident == "selberg-rho-dec":
-        return verify_selberg_rho_decomposition(spec, args.m, args.k or 0, p=p, tol=tol)
-    if ident == "four-selberg":
-        return verify_four_selberg_quotient(spec, args.m, p=p, tol=tol)
-    if ident == "rho-selberg":
-        return verify_rho_selberg_quotient(spec, args.m, p=p, tol=tol)
-    if ident == "zograf-ratio":
-        return verify_zograf_ratio(spec, args.n, args.parity, p=p, tol=tol)
-    if ident == "corollary-FG":
-        return verify_corollary_FG(spec, args.n, args.parity, p=p, tol=tol)
-    if ident == "ruelle-feq":
-        return verify_ruelle_functional_equation(spec, _req_inv(inv), args.m, p=p, tol=tol)
-    if ident == "det-chain":
-        return verify_det_chain(spec, _req_inv(inv), args.m, p=p, tol=tol)
-    if ident == "reflect-involution":
-        return verify_reflection_involution(samples=args.samples)
-    if ident == "main-theorem":
-        claimed = None
-        if args.claimed_invariants:
-            claimed = _load_invariants(args, name=args.claimed_invariants)
-        reference = None
-        if args.reference_spectrum:
-            reference = _load_spectrum(args, name=args.reference_spectrum)
-        return main_theorem_residual(spec, _req_inv(inv), args.n, args.parity, p=p,
-                                     tol=max(tol, 1e-9), claimed=claimed,
-                                     reference_spectrum=reference)
-    raise CliError(f"unknown identity {ident!r}")
-
-
-def _req_inv(inv) -> ManifoldInvariants:
-    if inv is None:
-        raise CliError("this identity needs --invariants")
-    return inv
+def _identity_param(args, name: str):
+    # the main theorem's side files are loaded only when given
+    if name == "claimed":
+        path = args.claimed_invariants
+        return _load_invariants(args, name=path) if path else None
+    if name == "reference":
+        path = args.reference_spectrum
+        return _load_spectrum(args, name=path) if path else None
+    return getattr(args, name)
 
 
 def cmd_verify(args) -> int:
-    if args.identity == "exact-oracle":
-        doc = _exact_oracle_report()
-        _emit(doc, args.output)
-        return EXIT_OK if doc["passed"] else EXIT_VERIFY_FAIL
-    if args.identity == "reflect-involution":
-        report = verify_reflection_involution(samples=args.samples)
-        _emit(report.to_json_dict(), args.output)
-        return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
-    spec = _load_spectrum(args)
-    inv = _load_invariants(args, required=False)
-    p = _params(args, spec)
+    entries = list(IDENTITIES.values()) if args.identity == "all" else [IDENTITIES[args.identity]]
+    spec = inv = p = None
+    if any(entry.needs_spectrum for entry in entries):
+        spec = _load_spectrum(args)
+        inv = _load_invariants(args, required=False)
+        p = _params(args, spec)
+    if inv is None and any(entry.needs_invariants for entry in entries):
+        raise CliError("this identity needs --invariants")
     if args.identity == "all":
-        tasks = battery_tasks(spec, _req_inv(inv), p=p, tol=args.tol)
-        reports = _pmap(lambda task: task(), tasks, _jobs(args))
-        reports.append(_exact_oracle_report())
-        rendered = [r.to_json_dict() if isinstance(r, IdentityReport) else r for r in reports]
-        passed = all(r["passed"] for r in rendered)
-        _emit({"passed": passed, "reports": rendered}, args.output)
-        return EXIT_OK if passed else EXIT_VERIFY_FAIL
-    report = _single_report(args, spec, inv, p)
-    doc = report.to_json_dict() if isinstance(report, IdentityReport) else report
+        reports = battery_reports(spec, inv, p=p, tol=args.tol)
+        doc = {"passed": all(r.passed for r in reports),
+               "reports": [r.to_json_dict() for r in reports]}
+    else:
+        params = {name: _identity_param(args, name) for name in entries[0].params}
+        doc = run_identity(args.identity, spec, inv, p, args.tol, **params).to_json_dict()
     _emit(doc, args.output)
     return EXIT_OK if doc["passed"] else EXIT_VERIFY_FAIL
 
@@ -413,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="truncation cutoff (default: the spectrum's l_max)")
         sp.add_argument("--allow-incomplete", action="store_true",
                         help="permit l_cut beyond l_max (results flagged)")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers (default: GEOZETA_JOBS or 1)")
 
     sp = sub.add_parser("validate", help="parse and validate input files")
     common(sp)
@@ -440,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, spectrum_required=False)  # exact-oracle / reflect-involution are self-contained
     sp.add_argument("--identity", required=True, choices=IDENTITY_CHOICES)
     sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--k", type=int, default=0)
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--parity", default="even", choices=("even", "odd"))
     sp.add_argument("--samples", type=int, default=1000,
@@ -476,13 +392,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SpectrumError, DomainError, EtaNotSuppliedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
+        # SpectrumError, DomainError and EtaNotSuppliedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,7 +5,10 @@ a small grid of s-values inside its guaranteed convergence region: the two
 sides are evaluated through deliberately different routes (weight
 decomposition vs. determinant oracle, Selberg ratio vs. direct product,
 direct Euler product vs. reflected functional-equation assembly) and the
-relative residual is reported per point.
+relative residual is reported per point.  ``IDENTITIES`` registers every
+check, the exact Gaussian-rational oracle last, with the parameters it reads
+and its battery parameters; the battery and the CLI both run from it, and
+every check reports as one ``IdentityReport``.
 
 The two oracles never read the power table the closed-form evaluators share.
 The brute-force oracle multiplies out the literal (p, q) double product: per
@@ -30,12 +33,14 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .chars import HolonomyClass, sigma_char, trace_rho
-from .continuation import (ManifoldInvariants, ComplexVolume, eta_lookup,
-                           reflect_selberg, selberg_anywhere)
+from .continuation import (ComplexVolume, EtaNotSuppliedError, ManifoldInvariants,
+                           eta_lookup, reflect_selberg, selberg_anywhere)
+from .exact import exact_battery
 from .numerics import fsum_complex, log1m_array
 from .spectrum import DomainError, LengthSpectrum, power_holonomy
 from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
@@ -104,18 +109,28 @@ class IdentityReport:
 
 
 def _run_grid(identity_id: str, grid, point_fn, tol: float,
-              flags: tuple[str, ...] = ()) -> IdentityReport:
+              flags: tuple[str, ...] = (), re_min: float | None = None) -> IdentityReport:
+    """Residuals of ``point_fn`` over ``grid``.
+
+    A point with Re(s) <= ``re_min``, or one whose evaluation raises a domain
+    or numerical error, is kept as a flagged error and fails the report.  A
+    missing eta invariant is an input error and propagates.
+    """
     points = []
     max_residual = 0.0
     errored = False
-    for s in grid:
+    for s in map(complex, grid):
         try:
-            residual, pflags = point_fn(complex(s))
+            if re_min is not None and not s.real > re_min:
+                raise DomainError(f"grid point Re(s)={s.real} outside Re > {re_min}")
+            residual, pflags = point_fn(s)
+        except EtaNotSuppliedError:
+            raise
         except (DomainError, ValueError) as exc:
-            points.append(GridPoint(complex(s), math.nan, ("error: " + str(exc),)))
+            points.append(GridPoint(s, math.nan, ("error: " + str(exc),)))
             errored = True
             continue
-        points.append(GridPoint(complex(s), residual, pflags))
+        points.append(GridPoint(s, residual, pflags))
         max_residual = max(max_residual, residual)
     passed = (not errored) and max_residual <= tol
     return IdentityReport(identity_id, tol, passed, max_residual, tuple(points), flags)
@@ -215,13 +230,11 @@ def verify_ruelle_decomposition(spec: LengthSpectrum, m: int, grid=None,
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
-        if not s.real > 2.0 + m / 2:
-            raise DomainError(f"grid point Re(s)={s.real} outside Re > {2 + m / 2}")
         lhs = ruelle_rho_direct(spec, m, s)
         rhs = ruelle_rho(spec, m, s, p)
         return relative_residual(lhs, rhs.value), rhs.flags
 
-    return _run_grid("prop-ruelle-dec", grid, point, tol, (f"m={m}",))
+    return _run_grid("prop-ruelle-dec", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
 
 def verify_selberg_rho_decomposition(spec: LengthSpectrum, m: int, k: int = 0, grid=None,
@@ -231,13 +244,11 @@ def verify_selberg_rho_decomposition(spec: LengthSpectrum, m: int, k: int = 0, g
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
-        if not s.real > 2.0 + m / 2:
-            raise DomainError(f"grid point Re(s)={s.real} outside Re > {2 + m / 2}")
         lhs = selberg_rho_bruteforce(spec, m, k, s)
         rhs = selberg_rho(spec, m, k, s, p)
         return relative_residual(lhs, rhs.value), rhs.flags
 
-    return _run_grid("selberg-rho-dec", grid, point, tol, (f"m={m}", f"k={k}"))
+    return _run_grid("selberg-rho-dec", grid, point, tol, (f"m={m}", f"k={k}"), 2.0 + m / 2)
 
 
 def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
@@ -247,8 +258,6 @@ def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
-        if not s.real > 2.0 + m / 2:
-            raise DomainError(f"grid point Re(s)={s.real} outside Re > {2 + m / 2}")
         lhs = ruelle_rho(spec, m, s, p)
         log_rhs = (selberg_sigma(spec, m, s - m / 2, p).log_value
                    + selberg_sigma(spec, -m, s + m / 2 + 2, p).log_value
@@ -256,7 +265,7 @@ def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                    - selberg_sigma(spec, -(m + 2), s + m / 2 + 1, p).log_value)
         return relative_residual(lhs.value, cmath.exp(log_rhs)), lhs.flags
 
-    return _run_grid("four-selberg", grid, point, tol, (f"m={m}",))
+    return _run_grid("four-selberg", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
 
 def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
@@ -266,8 +275,6 @@ def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
-        if not s.real > 2.0 + m / 2:
-            raise DomainError(f"grid point Re(s)={s.real} outside Re > {2 + m / 2}")
         lhs = ruelle_rho(spec, m, s, p)
         log_rhs = (selberg_rho(spec, m, 0, s, p).log_value
                    + selberg_rho(spec, m, 0, s + 2, p).log_value
@@ -275,12 +282,13 @@ def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                    - selberg_rho(spec, m, -2, s + 1, p).log_value)
         return relative_residual(lhs.value, cmath.exp(log_rhs)), lhs.flags
 
-    return _run_grid("rho-selberg", grid, point, tol, (f"m={m}",))
+    return _run_grid("rho-selberg", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
 
 def verify_zograf_ratio(spec: LengthSpectrum, n: int, parity: str, grid=None,
                         p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
-    """Zograf product: direct k-truncation vs. the two-Selberg ratio form."""
+    """Zograf product: direct k-truncation vs. the two-Selberg ratio form, on
+    Re(s) > 2 - n (even) or 3/2 - n (odd), where both converge."""
     p = p or EvalParams.for_spectrum(spec, tol=tol)
     if parity == "even":
         grid = grid if grid is not None else default_grid(3.0 - n)
@@ -292,15 +300,11 @@ def verify_zograf_ratio(spec: LengthSpectrum, n: int, parity: str, grid=None,
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
     def point(s: complex):
-        if not s.real + (n if parity == "even" else n + 0.5) > 2.0:
-            raise DomainError(f"grid point Re(s)={s.real} leaves the ratio form divergent")
-        if not s.real > re_min:
-            raise DomainError(f"grid point Re(s)={s.real} outside the product's half-plane")
         direct = evaluator(spec, n, s, p, method="direct")
         ratio = evaluator(spec, n, s, p, method="ratio")
         return relative_residual(direct.value, ratio.value), direct.flags + ratio.flags
 
-    return _run_grid("zograf-ratio", grid, point, tol, (f"n={n}", parity))
+    return _run_grid("zograf-ratio", grid, point, tol, (f"n={n}", parity), re_min)
 
 
 def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
@@ -322,9 +326,6 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
     def point(s: complex):
-        if not s.real > re_min:
-            raise DomainError(
-                f"grid point Re(s)={s.real} outside Re > {re_min} (constituents divergent)")
         if parity == "even":
             f = zograf_F(spec, n, s, p, method="direct")
             log_rhs = (selberg_sigma(spec, 2 * (n - 1), s - n + 1, p).log_value
@@ -340,7 +341,7 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
         lhs = cmath.exp(2.0 * f.log_value + ruelle_rho(spec, m, s, p).log_value)
         return relative_residual(lhs, cmath.exp(log_rhs)), f.flags
 
-    return _run_grid("corollary-FG", grid, point, tol, (f"n={n}", parity))
+    return _run_grid("corollary-FG", grid, point, tol, (f"n={n}", parity), re_min)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +370,12 @@ def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvaria
     dim = m + 1
 
     def point(s: complex):
-        if not s.real > 2.0 + m / 2:
-            raise DomainError(f"grid point Re(s)={s.real} outside Re > {2 + m / 2}")
         lhs = ruelle_rho(spec, m, s, p)
         log_rhs = (4.0 * s * dim * inv.volume / math.pi
                    + _ruelle_reflected_log(spec, inv, m, -s, p))
         return relative_residual(lhs.value, cmath.exp(log_rhs)), ("reflected",)
 
-    return _run_grid("ruelle-feq", grid, point, tol, (f"m={m}", FLAG_CIRCULAR))
+    return _run_grid("ruelle-feq", grid, point, tol, (f"m={m}", FLAG_CIRCULAR), 2.0 + m / 2)
 
 
 def verify_det_chain(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, grid=None,
@@ -398,8 +397,6 @@ def verify_det_chain(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, grid
     v_chain = inv.volume
 
     def point(s: complex):
-        if not s.real > 2.0 + m / 2:
-            raise DomainError(f"grid point Re(s)={s.real} outside Re > {2 + m / 2}")
         # det(Delta_0 - 1 + x^2) at x = s -+ 1, from the Selberg side
         log_det_a = (selberg_rho(spec, m, 0, s, p).log_value
                      - dim * v_det * (s - 1) ** 3 / (6.0 * math.pi))
@@ -414,7 +411,7 @@ def verify_det_chain(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, grid
         rhs = ruelle_rho(spec, m, s, p)
         return relative_residual(cmath.exp(log_lhs), rhs.value), rhs.flags
 
-    return _run_grid("det-chain", grid, point, tol, (f"m={m}",))
+    return _run_grid("det-chain", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
 
 def verify_reflection_involution(samples: int = 1000, seed: int = 20240817,
@@ -592,45 +589,115 @@ def special_case_low_n(inv: ManifoldInvariants, which: str) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Battery
+# Registry: one table drives the battery and the CLI
 
-def battery_tasks(spec: LengthSpectrum, inv: ManifoldInvariants,
-                  p: EvalParams | None = None, tol: float = 1e-8) -> list:
-    """Thunks for the default verification battery, in a fixed order.
+def verify_exact_oracle() -> IdentityReport:
+    """The exact Gaussian-rational battery as one report: a point per check at
+    s = 0 with residual 0 (every term equal) or 1, naming the first failing term."""
+    points = []
+    for r in exact_battery():
+        flags = (r.identity_id,)
+        if r.first_failure is not None:
+            f = r.first_failure
+            flags += (f"first failure at class {f.class_index}, power {f.power}",)
+        points.append(GridPoint(0j, 0.0 if r.passed else 1.0, flags))
+    worst = max(pt.residual for pt in points)
+    return IdentityReport("exact-oracle", 0.0, worst == 0.0, worst, tuple(points),
+                          ("exact-rational-arithmetic",))
 
-    Each task is independent, so callers may run them on any number of
-    workers; results stay deterministic because every evaluation is
-    internally sequenced.
+
+@dataclass(frozen=True)
+class Identity:
+    """One registered check.
+
+    ``run(spec, inv, p, tol, **params)`` returns its report, calling the
+    ``verify_*`` function by its module-global name so that a later rebinding
+    of that name is honoured.  ``params`` are the parameters it reads; each
+    dict in ``battery`` is one report of the default battery.  The tolerance
+    is at least ``tol_floor``; the self-contained checks carry their own.
+    ``n_min`` is the least product index for even and for odd parity.
     """
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
-    tasks = []
-    for m in (0, 1, 2):
-        tasks.append(lambda m=m: verify_ruelle_decomposition(spec, m, p=p, tol=tol))
-    for m, k in ((0, 0), (1, 0), (2, 2)):
-        tasks.append(lambda m=m, k=k: verify_selberg_rho_decomposition(spec, m, k, p=p, tol=tol))
-    for m in (0, 1, 2):
-        tasks.append(lambda m=m: verify_four_selberg_quotient(spec, m, p=p, tol=tol))
-    for m in (0, 1, 2):
-        tasks.append(lambda m=m: verify_rho_selberg_quotient(spec, m, p=p, tol=tol))
-    tasks.append(lambda: verify_zograf_ratio(spec, 3, "even", p=p, tol=tol))
-    tasks.append(lambda: verify_zograf_ratio(spec, 2, "odd", p=p, tol=tol))
-    tasks.append(lambda: verify_corollary_FG(spec, 3, "even", p=p, tol=tol))
-    tasks.append(lambda: verify_corollary_FG(spec, 2, "odd", p=p, tol=tol))
-    for m in (0, 1, 2):
-        tasks.append(lambda m=m: verify_ruelle_functional_equation(spec, inv, m, p=p, tol=tol))
-    for m in (0, 1):
-        tasks.append(lambda m=m: verify_det_chain(spec, inv, m, p=p, tol=tol))
-    tasks.append(lambda: verify_reflection_involution())
-    for n in (3, 4):
-        tasks.append(lambda n=n: main_theorem_residual(spec, inv, n, "even", p=p,
-                                                       tol=max(tol, 1e-9)))
-    for n in (2, 3):
-        tasks.append(lambda n=n: main_theorem_residual(spec, inv, n, "odd", p=p,
-                                                       tol=max(tol, 1e-9)))
-    return tasks
+
+    run: Callable[..., IdentityReport]
+    params: tuple[str, ...]
+    battery: tuple[dict, ...]
+    needs_spectrum: bool = True
+    needs_invariants: bool = False
+    tol_floor: float = 0.0
+    n_min: tuple[int, int] | None = None
+
+
+def _each(name: str, *values) -> tuple[dict, ...]:
+    return tuple({name: v} for v in values)
+
+
+_PARITIES = ({"n": 3, "parity": "even"}, {"n": 2, "parity": "odd"})
+
+IDENTITIES: dict[str, Identity] = {
+    "prop-ruelle-dec": Identity(
+        lambda spec, inv, p, tol, m: verify_ruelle_decomposition(spec, m, p=p, tol=tol),
+        ("m",), _each("m", 0, 1, 2)),
+    "selberg-rho-dec": Identity(
+        lambda spec, inv, p, tol, m, k: verify_selberg_rho_decomposition(
+            spec, m, k, p=p, tol=tol),
+        ("m", "k"), ({"m": 0, "k": 0}, {"m": 1, "k": 0}, {"m": 2, "k": 2})),
+    "four-selberg": Identity(
+        lambda spec, inv, p, tol, m: verify_four_selberg_quotient(spec, m, p=p, tol=tol),
+        ("m",), _each("m", 0, 1, 2)),
+    "rho-selberg": Identity(
+        lambda spec, inv, p, tol, m: verify_rho_selberg_quotient(spec, m, p=p, tol=tol),
+        ("m",), _each("m", 0, 1, 2)),
+    "zograf-ratio": Identity(
+        lambda spec, inv, p, tol, n, parity: verify_zograf_ratio(spec, n, parity, p=p, tol=tol),
+        ("n", "parity"), _PARITIES, n_min=(1, 0)),
+    "corollary-FG": Identity(
+        lambda spec, inv, p, tol, n, parity: verify_corollary_FG(spec, n, parity, p=p, tol=tol),
+        ("n", "parity"), _PARITIES, n_min=(1, 1)),
+    "ruelle-feq": Identity(
+        lambda spec, inv, p, tol, m: verify_ruelle_functional_equation(
+            spec, inv, m, p=p, tol=tol),
+        ("m",), _each("m", 0, 1, 2), needs_invariants=True),
+    "det-chain": Identity(
+        lambda spec, inv, p, tol, m: verify_det_chain(spec, inv, m, p=p, tol=tol),
+        ("m",), _each("m", 0, 1), needs_invariants=True),
+    "reflect-involution": Identity(
+        lambda spec, inv, p, tol, samples: verify_reflection_involution(samples=samples),
+        ("samples",), _each("samples", 1000), needs_spectrum=False),
+    "main-theorem": Identity(
+        lambda spec, inv, p, tol, n, parity, claimed=None, reference=None:
+            main_theorem_residual(spec, inv, n, parity, p=p, tol=tol, claimed=claimed,
+                                  reference_spectrum=reference),
+        ("n", "parity", "claimed", "reference"),
+        ({"n": 3, "parity": "even"}, {"n": 4, "parity": "even"},
+         {"n": 2, "parity": "odd"}, {"n": 3, "parity": "odd"}),
+        needs_invariants=True, tol_floor=1e-9),
+    "exact-oracle": Identity(lambda spec, inv, p, tol: verify_exact_oracle(), (), ({},),
+                             needs_spectrum=False),
+}
+
+
+def run_identity(identity_id: str, spec: LengthSpectrum | None,
+                 inv: ManifoldInvariants | None, p: EvalParams | None = None,
+                 tol: float = 1e-8, **params) -> IdentityReport:
+    """One registered check.  Its parameters are checked before any grid point
+    runs, so a bad index raises ``ValueError`` instead of erroring every point."""
+    entry = IDENTITIES[identity_id]
+    if params.get("m", 0) < 0:
+        raise ValueError(f"{identity_id} needs m >= 0, got {params['m']}")
+    if entry.n_min is not None:
+        least = entry.n_min[params["parity"] == "odd"]
+        if params["n"] < least:
+            raise ValueError(f"{identity_id} with {params['parity']} parity needs "
+                             f"n >= {least}, got {params['n']}")
+    if params.get("samples", 1) < 1:
+        raise ValueError(f"{identity_id} needs samples >= 1, got {params['samples']}")
+    return entry.run(spec, inv, p, max(tol, entry.tol_floor), **params)
 
 
 def battery_reports(spec: LengthSpectrum, inv: ManifoldInvariants,
                     p: EvalParams | None = None, tol: float = 1e-8) -> list[IdentityReport]:
-    """The default verification battery over small symmetric-power indices."""
-    return [task() for task in battery_tasks(spec, inv, p=p, tol=tol)]
+    """The default verification battery: every registered check over its
+    battery parameters, in registry order, the exact oracle last."""
+    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    return [run_identity(identity_id, spec, inv, p, tol, **params)
+            for identity_id, entry in IDENTITIES.items() for params in entry.battery]

@@ -148,42 +148,27 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
                    prefactor=_selberg_prefactor(spec) if spec.entries else 1.0)
 
 
-def _product(spec: LengthSpectrum, p: EvalParams, factors: list[ZetaValue],
-             in_domain: bool, flags: tuple[str, ...] = ()) -> ZetaValue:
+def _combine(p: EvalParams, num: list[ZetaValue], den: list[ZetaValue], in_domain: bool,
+             flags: tuple[str, ...] = ()) -> ZetaValue:
+    """The product of ``num`` over the product of ``den``.
+
+    Logs add with their sign, error bounds add, one heuristic factor makes the
+    result heuristic.  The factors' flags merge in first-seen order without
+    duplicates, then ``flags``, then ``formal-truncation`` if out of domain.
+    """
     log_value = 0j
     bound = 0.0
-    heuristic = False
-    for f in factors:
-        log_value += f.log_value
-        bound += f.abs_error_bound
-        heuristic = heuristic or f.heuristic_bound
-        for fl in f.flags:
-            if fl not in flags and fl not in (FLAG_FORMAL,):
-                flags = flags + (fl,)
-    if not in_domain:
-        flags = flags + (FLAG_FORMAL,) if FLAG_FORMAL not in flags else flags
-    return ZetaValue(cmath.exp(log_value), log_value, bound, heuristic, in_domain,
-                     p.l_cut, flags)
-
-
-def _quotient_log(num: list[ZetaValue], den: list[ZetaValue]) -> tuple[complex, float, bool, tuple[str, ...]]:
-    log_value = 0j
-    bound = 0.0
-    heuristic = False
-    flags: tuple[str, ...] = ()
     for f in num:
         log_value += f.log_value
         bound += f.abs_error_bound
-        heuristic = heuristic or f.heuristic_bound
     for f in den:
         log_value -= f.log_value
         bound += f.abs_error_bound
-        heuristic = heuristic or f.heuristic_bound
-    for f in num + den:
-        for fl in f.flags:
-            if fl not in flags:
-                flags = flags + (fl,)
-    return log_value, bound, heuristic, flags
+    factors = num + den
+    merged = dict.fromkeys(fl for f in factors for fl in f.flags if fl != FLAG_FORMAL)
+    flags = tuple(merged) + flags + (() if in_domain else (FLAG_FORMAL,))
+    return ZetaValue(cmath.exp(log_value), log_value, bound,
+                     any(f.heuristic_bound for f in factors), in_domain, p.l_cut, flags)
 
 
 def ruelle_rho(spec: LengthSpectrum, m: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -196,7 +181,7 @@ def ruelle_rho(spec: LengthSpectrum, m: int, s: complex, p: EvalParams) -> ZetaV
         raise ValueError(f"symmetric-power index must be >= 0, got {m}")
     s = complex(s)
     factors = [ruelle_sigma(spec, m - 2 * l, s - m / 2 + l, p) for l in range(m + 1)]
-    return _product(spec, p, factors, s.real > 2.0 + m / 2)
+    return _combine(p, factors, [], s.real > 2.0 + m / 2)
 
 
 def selberg_rho(spec: LengthSpectrum, m: int, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -207,7 +192,7 @@ def selberg_rho(spec: LengthSpectrum, m: int, k: int, s: complex, p: EvalParams)
         raise ValueError(f"symmetric-power index must be >= 0, got {m}")
     s = complex(s)
     factors = [selberg_sigma(spec, m - 2 * l + k, s - m / 2 + l, p) for l in range(m + 1)]
-    return _product(spec, p, factors, s.real > 2.0 + m / 2)
+    return _combine(p, factors, [], s.real > 2.0 + m / 2)
 
 
 def _layer_count(spec: LengthSpectrum) -> int:
@@ -223,12 +208,7 @@ def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
         method = "ratio" if ratio_ok else "direct"
     if method == "ratio":
         num, den = ratio_factors()
-        log_value, bound, heuristic, flags = _quotient_log([num], [den])
-        flags = tuple(fl for fl in flags if fl != FLAG_FORMAL) + (FLAG_RATIO,)
-        if not in_domain:
-            flags = flags + (FLAG_FORMAL,)
-        return ZetaValue(cmath.exp(log_value), log_value, bound, heuristic, in_domain,
-                         p.l_cut, flags)
+        return _combine(p, [num], [den], in_domain, (FLAG_RATIO,))
     if method != "direct":
         raise ValueError(f"method must be 'auto', 'ratio' or 'direct', got {method!r}")
     table = powers_up_to(spec, p.l_cut)

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from geozeta.cli import main
+from geozeta.cli import IDENTITY_CHOICES, _emit, main
 from geozeta.continuation import serialize_invariants
+from geozeta.identities import IDENTITIES, verify_ruelle_decomposition
 from geozeta.spectrum import serialize_spectrum
 
 EMPTY_DOC = json.dumps({"label": "empty", "oriented": True, "l_max": 1.0, "entries": []})
@@ -102,6 +103,14 @@ class TestEval:
         assert lines[0].startswith("s_re,s_im,value_re")
         assert len(lines) == 4
 
+    def test_csv_unwritable_output(self, tmp_path, spec_file, capsys):
+        code = main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma",
+                     "--k", "0", "--s", "3,0", "--csv",
+                     "--output", str(tmp_path / "missing" / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and len(err.strip().splitlines()) == 1
+
 
 class TestVerify:
     def test_single_identity_passes(self, tmp_path, spec_file):
@@ -152,6 +161,59 @@ class TestVerify:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad.json" in err and len(err.strip().splitlines()) == 1
+
+    def test_unwritable_output(self, tmp_path, spec_file, inv_file, capsys):
+        code = main(["verify", "--identity", "all", "--spectrum", spec_file,
+                     "--invariants", inv_file,
+                     "--output", str(tmp_path / "missing" / "x.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--identity", "prop-ruelle-dec", "--m", "-1"], "m >= 0"),
+        (["--identity", "four-selberg", "--m", "-2"], "m >= 0"),
+        (["--identity", "zograf-ratio", "--n", "0"], "n >= 1"),
+        (["--identity", "corollary-FG", "--n", "0", "--parity", "odd"], "n >= 1"),
+        (["--identity", "reflect-involution", "--samples", "-5"], "samples >= 1"),
+        (["--identity", "reflect-involution", "--samples", "0"], "samples >= 1"),
+    ])
+    def test_bad_parameter_is_usage_error(self, spec_file, capsys, argv, message):
+        assert main(["verify", "--spectrum", spec_file, *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("identity", ["ruelle-feq", "main-theorem"])
+    def test_missing_eta_is_input_error(self, tmp_path, spec_file, capsys, identity):
+        inv = tmp_path / "inv.json"
+        inv.write_text(json.dumps({"volume": 2.0, "cs": 0.0, "eta": {"1": 0.1}}))
+        code = main(["verify", "--identity", identity, "--spectrum", spec_file,
+                     "--invariants", str(inv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "eta not supplied" in err and len(err.strip().splitlines()) == 1
+
+    def test_det_chain_reads_no_eta(self, tmp_path, spec_file):
+        # the determinant chain cancels volume exponentials only; no eta enters it
+        inv = tmp_path / "inv.json"
+        inv.write_text(json.dumps({"volume": 2.0, "cs": 0.0, "eta": {}}))
+        assert main(["verify", "--identity", "det-chain", "--spectrum", spec_file,
+                     "--invariants", str(inv), "--output", str(tmp_path / "r.json")]) == 0
+
+    def test_all_runs_the_registry_in_order(self, tmp_path, spec_file, inv_file):
+        assert IDENTITY_CHOICES == (*IDENTITIES, "all")
+        out = tmp_path / "r.json"
+        assert main(["verify", "--identity", "all", "--spectrum", spec_file,
+                     "--invariants", inv_file, "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        counts = [("prop-ruelle-dec", 3), ("selberg-rho-dec", 3), ("four-selberg", 3),
+                  ("rho-selberg", 3), ("zograf-ratio", 2), ("corollary-FG", 2),
+                  ("ruelle-feq", 3), ("det-chain", 2), ("reflect-involution", 1),
+                  ("main-theorem", 4), ("exact-oracle", 1)]
+        assert [r["identity_id"] for r in doc["reports"]] == [
+            ident for ident, count in counts for _ in range(count)]
+        assert sum(len(r["points"]) for r in doc["reports"]) == 1247
+        assert doc["passed"] is True
 
     def test_identity_needing_invariants(self, spec_file, capsys):
         code = main(["verify", "--identity", "ruelle-feq", "--spectrum", spec_file,
@@ -210,7 +272,7 @@ def strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_reports_are_strict_json(tmp_path, spec_file):
+def test_reports_are_strict_json(tmp_path, spec_file, small_spec):
     out = tmp_path / "e.json"
     # outside the half-plane no bound is claimed: the bound is infinite
     assert main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma", "--k", "0",
@@ -218,9 +280,8 @@ def test_reports_are_strict_json(tmp_path, spec_file):
     doc = strict_loads(out.read_text())
     assert doc[0]["abs_error_bound"] is None
     assert "formal-truncation" in doc[0]["flags"]
-    # a negative symmetric-power index errors every grid point: NaN residuals
-    assert main(["verify", "--identity", "prop-ruelle-dec", "--spectrum", spec_file,
-                 "--m", "-1", "--output", str(out)]) == 1
+    # a grid point outside the half-plane errors: its residual is NaN
+    _emit(verify_ruelle_decomposition(small_spec, 0, grid=[1.0]).to_json_dict(), str(out))
     doc = strict_loads(out.read_text())
     assert all(pt["residual"] is None for pt in doc["points"])
     assert all(pt["flags"][0].startswith("error: ") for pt in doc["points"])

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from geozeta.continuation import ManifoldInvariants
-from geozeta.identities import (_ruelle_reflected_log, default_grid,
+from geozeta import identities
+from geozeta.continuation import EtaNotSuppliedError, ManifoldInvariants
+from geozeta.exact import ExactCheckResult, GaussianRational, TermFailure, exact_battery
+from geozeta.identities import (IDENTITIES, _ruelle_reflected_log, battery_reports,
+                                default_grid, run_identity, verify_exact_oracle,
                                 main_theorem_residual, predict_torsion_ratio,
                                 relative_residual, special_case_low_n, theta_even,
                                 theta_odd, verify_corollary_FG, verify_det_chain,
@@ -299,3 +302,68 @@ def test_report_json_shape(small_spec):
                          "points", "flags"]
     assert len(doc["points"]) == len(default_grid(3.5))
     assert all(len(pt["s"]) == 2 for pt in doc["points"])
+
+
+class TestRegistry:
+    def test_battery_follows_registry(self, small_spec, invariants):
+        reports = battery_reports(small_spec, invariants)
+        want = [ident for ident, entry in IDENTITIES.items() for _ in entry.battery]
+        assert [r.identity_id for r in reports] == want
+        assert want[-1] == "exact-oracle" and len(want) == 27
+        assert all(r.passed for r in reports)
+
+    def test_calls_through_module_globals(self, small_spec, monkeypatch):
+        # a wrapper bound over the verify_* name later (say, a tracer) sees the call
+        seen = []
+        original = identities.verify_four_selberg_quotient
+
+        def wrapper(*args, **kwargs):
+            seen.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "verify_four_selberg_quotient", wrapper)
+        assert run_identity("four-selberg", small_spec, None, m=1).passed
+        assert seen == [1]
+
+    @pytest.mark.parametrize("ident, params, message", [
+        ("prop-ruelle-dec", {"m": -1}, "m >= 0"),
+        ("selberg-rho-dec", {"m": -1, "k": 0}, "m >= 0"),
+        ("zograf-ratio", {"n": 0, "parity": "even"}, "n >= 1"),
+        ("zograf-ratio", {"n": -1, "parity": "odd"}, "n >= 0"),
+        ("corollary-FG", {"n": 0, "parity": "odd"}, "n >= 1"),
+        ("reflect-involution", {"samples": 0}, "samples >= 1"),
+    ])
+    def test_parameters_checked_before_the_grid(self, small_spec, ident, params, message):
+        with pytest.raises(ValueError, match=message):
+            run_identity(ident, small_spec, INV, **params)
+
+    def test_main_theorem_tolerance_floor(self, small_spec, invariants):
+        report = run_identity("main-theorem", small_spec, invariants, tol=1e-12,
+                              n=3, parity="even")
+        assert report.tolerance == 1e-9
+
+    def test_precondition_message(self, small_spec):
+        report = verify_det_chain(small_spec, INV, 2, grid=[3.0 + 0.3j, 4.5 + 0.3j])
+        assert report.points[0].flags == ("error: grid point Re(s)=3.0 outside Re > 3.0",)
+        assert report.points[1].residual <= 1e-8
+        assert not report.passed
+
+    def test_missing_eta_propagates(self, small_spec):
+        with pytest.raises(EtaNotSuppliedError, match="k=2"):
+            verify_ruelle_functional_equation(small_spec, ManifoldInvariants(2.0, 0.0, {}), 0)
+
+    def test_exact_oracle_report(self, monkeypatch):
+        report = verify_exact_oracle()
+        assert report.passed and report.tolerance == 0.0 and report.max_residual == 0.0
+        assert report.flags == ("exact-rational-arithmetic",)
+        assert [pt.flags for pt in report.points] == [
+            (r.identity_id,) for r in exact_battery()]
+        failure = TermFailure(2, 5, GaussianRational.of(1), GaussianRational.of(0))
+        monkeypatch.setattr(identities, "exact_battery", lambda: [
+            ExactCheckResult("ruelle-dec", True, None, {}),
+            ExactCheckResult("zograf-G", False, failure, {})])
+        report = verify_exact_oracle()
+        assert not report.passed and report.max_residual == 1.0
+        assert [pt.residual for pt in report.points] == [0.0, 1.0]
+        assert report.points[1].flags == ("zograf-G", "first failure at class 2, power 5")
+        assert all(pt.s == 0j for pt in report.points)
