@@ -145,6 +145,23 @@ def _grid_points(args) -> list[complex]:
     raise CliError("one of --s or --grid is required")
 
 
+def _t_grid_points(t_grid: str) -> list[float]:
+    usage = f"--t-grid expects 't0,t1,n-points' with t0, t1 finite and positive, got {t_grid!r}"
+    parts = t_grid.split(",")
+    if len(parts) != 3:
+        raise CliError(usage)
+    try:
+        t0, t1, npts = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise CliError(usage) from None
+    if not all(0 < t < math.inf for t in (t0, t1)):
+        raise CliError(usage)
+    if npts < 4:
+        raise CliError("--t-grid needs >= 4 points for a fit")
+    ratio = (t1 / t0) ** (1.0 / (npts - 1))
+    return [t0 * ratio ** j for j in range(npts)]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -279,16 +296,7 @@ def cmd_heat_trace(args) -> int:
     inv = _load_invariants(args)
     p = _params(args, spec)
     if args.fit:
-        grid = None
-        if args.t_grid:
-            parts = args.t_grid.split(",")
-            if len(parts) != 3:
-                raise CliError(f"--t-grid expects 't0,t1,n-points', got {args.t_grid!r}")
-            t0, t1, npts = float(parts[0]), float(parts[1]), int(parts[2])
-            if npts < 4:
-                raise CliError("--t-grid needs >= 4 points for a fit")
-            ratio = (t1 / t0) ** (1.0 / (npts - 1))
-            grid = [t0 * ratio ** j for j in range(npts)]
+        grid = _t_grid_points(args.t_grid) if args.t_grid else None
         a1, a2 = small_time_fit(spec, inv, args.m, args.p, grid, p)
         _emit({"m": args.m, "p": args.p, "a1": a1, "a2": a2}, args.output)
         return EXIT_OK
@@ -391,6 +399,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 < args.tol < math.inf:
+            raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
         return args.fn(args)
     except (CliError, ValueError) as exc:
         # SpectrumError, DomainError and EtaNotSuppliedError are ValueErrors

@@ -14,12 +14,22 @@ Reflection and functional-equation identities are out of reach here: they
 involve transcendental exp(Vol ...) factors.
 
 A Gaussian rational is stored as three Python ints (a + b i) / d in lowest
-terms, so each field operation is a few integer products and one gcd, and
-equality is a comparison of triples.  Where an identity's two sides share a
-factor, they build it by different routes (selberg-rho-dec sums the double
-product's two geometric series on the left and divides by the shared
-denominator on the right), so a wrong shared helper still shows as a failing
-term.
+terms, and equality is a comparison of triples.  Where an identity's two
+sides share a factor, they build it by different routes (selberg-rho-dec sums
+the double product's two geometric series on the left and divides by the
+shared denominator on the right), so a wrong shared helper still shows as a
+failing term.
+
+The factors of one (class, power) that do not depend on s are built once per
+process: the powers q_sqrt^e and u_half^e of each class, the denominator
+(1 - a)(1 - b) of each (class, power) and the symmetric-power trace of each
+(class, power, m).  Each lives in an ``lru_cache`` of at most
+``EXACT_CACHE_SIZE`` (4096) entries; the default battery fills them with 942
+values in all.  Only these leaves are cached.  The per-identity cores
+(``_r_core``, ``_z_core``) and ``identity_terms`` are rebuilt on every call
+and reach the cached ``_denominators`` through the module namespace, so a
+helper replaced there (a fault injected by a test) is seen at once, and a
+warm cache never holds a value computed from a replaced helper.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .spectrum import GeodesicEntry, LengthSpectrum
@@ -39,8 +50,9 @@ class GaussianRational:
 
     The three Python ints are kept with d > 0 and gcd(a, b, d) = 1.  That form
     is canonical, so == and hash are exact, and each operation costs a few
-    integer products and one gcd.  ``re`` and ``im`` read back as Fractions;
-    int and Fraction operands mix in on the right of + - / and either side of *.
+    integer products and one gcd; a GaussianRational operand is read as its
+    triple directly.  ``re`` and ``im`` read back as Fractions; int and
+    Fraction operands mix in on the right of + - / and either side of *.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -66,18 +78,24 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        a, b, d = _triple(other)
+        if type(other) is not GaussianRational:
+            other = _lift(other)
+        a, b, d = other._a, other._b, other._d
         return _reduced(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
 
     def __sub__(self, other):
-        a, b, d = _triple(other)
+        if type(other) is not GaussianRational:
+            other = _lift(other)
+        a, b, d = other._a, other._b, other._d
         return _reduced(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __neg__(self) -> "GaussianRational":
         return _canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        a, b, d = _triple(other)
+        if type(other) is not GaussianRational:
+            other = _lift(other)
+        a, b, d = other._a, other._b, other._d
         if b == 0:
             return _reduced(self._a * a, self._b * a, self._d * d)
         return _reduced(self._a * a - self._b * b, self._a * b + self._b * a, self._d * d)
@@ -85,7 +103,9 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b, d = _triple(other)
+        if type(other) is not GaussianRational:
+            other = _lift(other)
+        a, b, d = other._a, other._b, other._d
         if b == 0:
             if a == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
@@ -150,13 +170,12 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _canonical(a // g, b // g, d // g)
 
 
-def _triple(value) -> tuple[int, int, int]:
-    if isinstance(value, GaussianRational):
-        return value._a, value._b, value._d
+def _lift(value) -> GaussianRational:
+    # an int or Fraction operand, as a canonical GaussianRational
     if isinstance(value, int):
-        return value, 0, 1
+        return _canonical(value, 0, 1)
     value = Fraction(value)
-    return value.numerator, 0, value.denominator
+    return _canonical(value.numerator, 0, value.denominator)
 
 
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
@@ -181,6 +200,11 @@ class ExactClass:
             raise ValueError(f"q_sqrt must lie in (0, 1), got {self.q_sqrt}")
         if self.u_half.norm2() != 1:
             raise ValueError(f"u_half must have unit modulus, |u_half|^2 = {self.u_half.norm2()}")
+        # every exact cache is keyed on a class; hash the two Fractions once
+        object.__setattr__(self, "_hash", hash((self.q_sqrt, self.u_half)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> Fraction:
@@ -248,43 +272,61 @@ class ExactCheckResult:
 def _two_s(s) -> int:
     """Validate the evaluation point: 2s must be an integer so every exponent
     q_sqrt^(2 s mu + integer) stays exact."""
+    if type(s) is int:
+        return 2 * s
     two = Fraction(s) * 2
     if two.denominator != 1:
         raise ValueError(f"s={s} is not exactable: need integer or half-integer")
     return two.numerator
 
 
+# Bound of each exact cache below, in entries.  The default battery keeps 486
+# q_sqrt powers, 276 u_half powers, 36 denominators and 144 traces.
+EXACT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=EXACT_CACHE_SIZE)
+def _q_sqrt_power(cls: ExactClass, e: int) -> GaussianRational:
+    """q_sqrt^e as a Gaussian rational, for any integer e."""
+    return GaussianRational.of(cls.q_sqrt ** e)
+
+
+@lru_cache(maxsize=EXACT_CACHE_SIZE)
+def _u_half_power(cls: ExactClass, e: int) -> GaussianRational:
+    """u_half^e, for any integer e."""
+    return cls.u_half ** e
+
+
 def _z_core(cls: ExactClass, mu: int, two_s: int, k: int, two_shift: int,
             denom: GaussianRational) -> GaussianRational:
     """Per-(class, power) log-series core of Z(sigma_k, s + shift):
     u_half^(k mu) q_sqrt^((2s + 2 shift) mu) / ((1-a)(1-b)), with 2*shift integer."""
-    w_k = cls.u_half ** (k * mu)
-    radial = cls.q_sqrt ** ((two_s + two_shift) * mu)
-    return w_k * radial / denom
+    return _u_half_power(cls, k * mu) * _q_sqrt_power(cls, (two_s + two_shift) * mu) / denom
 
 
 def _r_core(cls: ExactClass, mu: int, two_s: int, k: int, two_shift: int) -> GaussianRational:
     """Per-(class, power) log-series core of R(sigma_k, s + shift)."""
-    w_k = cls.u_half ** (k * mu)
-    return w_k * cls.q_sqrt ** ((two_s + two_shift) * mu)
+    return _u_half_power(cls, k * mu) * _q_sqrt_power(cls, (two_s + two_shift) * mu)
 
 
+@lru_cache(maxsize=EXACT_CACHE_SIZE)
 def _denominators(cls: ExactClass, mu: int) -> GaussianRational:
     # (1 - e^-mu(l+it)) (1 - e^-mu(l-it)); nonzero since 0 < q < 1
-    h2 = GaussianRational.of(cls.q ** mu)
-    u_mu = cls.u ** mu
+    h2 = _q_sqrt_power(cls, 2 * mu)
+    u_mu = _u_half_power(cls, 2 * mu)
     a = h2 * u_mu.conj()
     b = h2 * u_mu
     return (GR_ONE - a) * (GR_ONE - b)
 
 
+@lru_cache(maxsize=EXACT_CACHE_SIZE)
 def _trace_core(cls: ExactClass, mu: int, m: int) -> GaussianRational:
     """Trace of the m-th symmetric power on the mu-th power of the class:
     sum of (u_half / q_sqrt)^((m - 2j) mu)."""
-    lam = cls.u_half / GaussianRational.of(cls.q_sqrt)
     total = GR_ZERO
     for j in range(m + 1):
-        total = total + lam ** ((m - 2 * j) * mu)
+        e = (m - 2 * j) * mu
+        total = total + _u_half_power(cls, e) * _q_sqrt_power(cls, -e)
     return total
 
 
@@ -296,7 +338,7 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
     """
     two_s = _two_s(s)
     if identity_id == "ruelle-dec":
-        lhs = _trace_core(cls, mu, m) * cls.q_sqrt ** (two_s * mu)
+        lhs = _trace_core(cls, mu, m) * _q_sqrt_power(cls, two_s * mu)
         rhs = GR_ZERO
         for l in range(m + 1):
             rhs = rhs + _r_core(cls, mu, two_s, m - 2 * l, 2 * l - m)
@@ -304,9 +346,9 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
     if identity_id == "selberg-rho-dec":
         # the left side sums the (p, q) double product as two geometric series,
         # apart from the right side's _denominators
-        h2, u_mu = cls.q ** mu, cls.u ** mu
-        lhs = (_trace_core(cls, mu, m) * (cls.u_half ** (k * mu))
-               * cls.q_sqrt ** (two_s * mu)) / (GR_ONE - u_mu.conj() * h2) / (GR_ONE - u_mu * h2)
+        h2, u_mu = _q_sqrt_power(cls, 2 * mu), _u_half_power(cls, 2 * mu)
+        lhs = (_trace_core(cls, mu, m) * _u_half_power(cls, k * mu)
+               * _q_sqrt_power(cls, two_s * mu)) / (GR_ONE - u_mu.conj() * h2) / (GR_ONE - u_mu * h2)
         denom = _denominators(cls, mu)
         rhs = GR_ZERO
         for l in range(m + 1):
@@ -314,7 +356,7 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
         return lhs, rhs
     if identity_id == "four-selberg":
         denom = _denominators(cls, mu)
-        lhs = _trace_core(cls, mu, m) * cls.q_sqrt ** (two_s * mu)
+        lhs = _trace_core(cls, mu, m) * _q_sqrt_power(cls, two_s * mu)
         rhs = (_z_core(cls, mu, two_s, m, -m, denom)
                + _z_core(cls, mu, two_s, -m, m + 4, denom)
                - _z_core(cls, mu, two_s, m + 2, -m + 2, denom)
@@ -323,7 +365,7 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
     if identity_id == "rho-selberg":
         denom = _denominators(cls, mu)
         tr = _trace_core(cls, mu, m)
-        lhs = tr * cls.q_sqrt ** (two_s * mu)
+        lhs = tr * _q_sqrt_power(cls, two_s * mu)
         rhs = (tr * (_r_core(cls, mu, two_s, 0, 0)
                      + _r_core(cls, mu, two_s, 0, 4)
                      - _r_core(cls, mu, two_s, 2, 2)
@@ -332,17 +374,17 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
     if identity_id == "zograf-F":
         # sum over k >= n of the R(sigma_-2k, s+k) cores, as an exact geometric series
         denom = _denominators(cls, mu)
-        a = GaussianRational.of(cls.q ** mu) * (cls.u ** mu).conj()
-        t = GaussianRational.of(cls.q_sqrt ** (two_s * mu))
+        a = _q_sqrt_power(cls, 2 * mu) * _u_half_power(cls, 2 * mu).conj()
+        t = _q_sqrt_power(cls, two_s * mu)
         lhs = t * a ** n / (GR_ONE - a)
         rhs = (_z_core(cls, mu, two_s, -2 * n, 2 * n, denom)
                - _z_core(cls, mu, two_s, -2 * (n - 1), 2 * (n + 1), denom))
         return lhs, rhs
     if identity_id == "zograf-G":
         denom = _denominators(cls, mu)
-        half_a = GaussianRational.of(cls.q_sqrt ** mu) * (cls.u_half ** mu).conj()
+        half_a = _q_sqrt_power(cls, mu) * _u_half_power(cls, mu).conj()
         a = half_a * half_a
-        t = GaussianRational.of(cls.q_sqrt ** (two_s * mu))
+        t = _q_sqrt_power(cls, two_s * mu)
         lhs = t * half_a ** (2 * n + 1) / (GR_ONE - a)
         rhs = (_z_core(cls, mu, two_s, -(2 * n + 1), 2 * n + 1, denom)
                - _z_core(cls, mu, two_s, -(2 * n - 1), 2 * n + 3, denom))

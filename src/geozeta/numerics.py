@@ -29,10 +29,14 @@ def log1m_array(x: np.ndarray) -> np.ndarray:
     keeps the relative accuracy that numpy's complex ``log1p`` loses near
     zero (Goldberg's log1p device).  For |x| <= 2^-53, which includes every
     x with 1 - x rounding to 1, the two-term series -x - x^2/2 is already
-    exact to working precision and the division is skipped: there w - 1 can
-    be subnormal and its reciprocal overflow.
+    exact to working precision and the log and the division are computed
+    only for the other entries: there w - 1 can be subnormal and its
+    reciprocal overflow.
     """
     x = np.asarray(x, dtype=complex)
-    tiny = np.abs(x) <= 2.0 ** -53
-    w = np.where(tiny, 2.0, 1.0 - x)  # 2 is a placeholder, discarded below
-    return np.where(tiny, -x - 0.5 * x * x, np.log(w) * ((-x) / (w - 1.0)))
+    out = -x - 0.5 * x * x
+    rest = ~(np.abs(x) <= 2.0 ** -53)  # NaN takes the log branch
+    xr = x[rest]
+    w = 1.0 - xr
+    out[rest] = np.log(w) * ((-xr) / (w - 1.0))
+    return out

@@ -183,6 +183,10 @@ def power_holonomy(length: float, angle: float, spin_sign: int, m: int) -> tuple
 
 _TABLE_LOCK = threading.Lock()
 
+# Most rows one power table may hold (about 100 MB of columns).  The largest
+# table of the benchmark spectra has 14,590 rows.
+POWER_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class PowerTable:
@@ -225,6 +229,10 @@ def powers_up_to(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     Order is ascending total length, ties broken by expanded-class index and
     then by m; fixed globally so all downstream summations are reproducible.
     The table is built once per (spectrum, l_cut) and process, and shared.
+
+    A table of more than ``POWER_BUDGET`` rows (10^6) is refused with a
+    ``DomainError`` before anything is allocated; the message names the total
+    and the entry that needs the most powers.
     """
     if not (l_cut > 0):
         raise DomainError(f"l_cut must be positive, got {l_cut!r}")
@@ -240,7 +248,16 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     base_angle = np.array([c.angle for c in classes], dtype=float)
     base_spin = np.array([c.spin_sign for c in classes], dtype=np.int64)
     mult = np.array([c.multiplicity for c in classes], dtype=np.int64)
-    m_top = np.floor(l_cut / base_length + 1e-12).astype(np.int64)
+    m_top = np.floor(l_cut / base_length + 1e-12)
+    total = float(m_top.sum())
+    if not total <= POWER_BUDGET:
+        worst = int(np.argmax(m_top))
+        entry = worst if spec.oriented else worst // 2
+        raise DomainError(
+            f"power budget exceeded: l_cut {l_cut} needs {total:.0f} powers, more than "
+            f"{POWER_BUDGET}; entries[{entry}] (length {float(base_length[worst])!r}) needs "
+            f"{m_top[worst]:.0f} of them")
+    m_top = m_top.astype(np.int64)
     base = np.repeat(np.arange(len(classes), dtype=np.int64), m_top)
     starts = np.repeat(np.cumsum(m_top) - m_top, m_top)
     m = np.arange(len(base), dtype=np.int64) - starts + 1

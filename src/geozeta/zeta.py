@@ -67,8 +67,8 @@ class EvalParams:
     def __post_init__(self) -> None:
         if not self.l_cut > 0:
             raise ValueError(f"l_cut must be positive, got {self.l_cut!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
     @classmethod
     def for_spectrum(cls, spec: LengthSpectrum, l_cut: float | None = None,

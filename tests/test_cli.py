@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -247,6 +248,16 @@ class TestPredictAndHeat:
         assert main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
                      "--t", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("t_grid", ["0,1,5", "-1,1,5", "1,2,x"])
+    def test_heat_trace_bad_t_grid(self, spec_file, inv_file, capsys, t_grid):
+        # a zero end divided, a negative one made a complex ratio, a bad count
+        # was reported without naming the flag
+        code = main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                     "--fit", f"--t-grid={t_grid}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--t-grid" in err and len(err.strip().splitlines()) == 1
+
     def test_heat_trace_fit(self, tmp_path, spec_file, inv_file):
         out = tmp_path / "f.json"
         code = main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
@@ -264,6 +275,41 @@ def test_l_cut_beyond_l_max_needs_flag(spec_file, capsys):
     code = main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma",
                  "--k", "0", "--s", "3,0", "--l-cut", "99", "--allow-incomplete"])
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("argv, with_spectrum", [
+    (["eval", "--kind", "ruelle-sigma", "--k", "0", "--s", "3"], True),
+    (["verify", "--identity", "prop-ruelle-dec"], True),
+    (["verify", "--identity", "reflect-involution"], False),
+    (["verify", "--identity", "exact-oracle"], False),
+], ids=["eval", "spectrum-identity", "reflect-involution", "exact-oracle"])
+def test_tol_must_be_finite_and_positive(spec_file, capsys, argv, with_spectrum, tol):
+    if with_spectrum:
+        argv = [*argv, "--spectrum", spec_file]
+    assert main([*argv, f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and len(err.strip().splitlines()) == 1
+
+
+def test_power_budget_refuses_before_allocating(tmp_path, capsys):
+    # one valid entry of length 1e-6 asks for 1.2e7 powers up to l_cut 12
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps({"label": "tiny", "oriented": True, "l_max": 12.0,
+                                "entries": [{"length": 1e-6, "angle": 0.5, "spin_sign": 1,
+                                             "multiplicity": 1}]}))
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--spectrum", str(spec), "--kind", "ruelle-sigma", "--k", "0",
+                     "--s", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "power budget" in err and "12000000" in err and "entries[0]" in err
+    assert peak < 10_000_000  # the table would take about a gigabyte
 
 
 def strict_loads(text):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -263,6 +264,60 @@ class TestExactChecks:
     def test_battery_matrix(self):
         results = exact_battery(s_values=(4,), max_power=6)
         assert results and all(r.passed for r in results)
+
+
+EXACT_CACHES = (exact._q_sqrt_power, exact._u_half_power, exact._denominators,
+                exact._trace_core)
+
+# SHA-256 over every (identity_id, passed, class, power, lhs triple, rhs triple)
+# of the default battery, from the uncached implementation
+DEFAULT_BATTERY_SHA256 = "0d98f59d06c73bcdf2f34dce38edbc84bbd8758fd457989c1d46254f3e45c9f9"
+
+
+class TestExactCaches:
+    def test_faults_caught_after_caches_are_warm(self, monkeypatch):
+        assert all(r.passed for r in exact_battery())
+        real_denominators, real_r_core = exact._denominators, exact._r_core
+        monkeypatch.setattr(exact, "_denominators",
+                            lambda cls, mu: real_denominators(cls, mu) * Fraction(1001, 1000))
+        monkeypatch.setattr(exact, "_r_core", lambda cls, mu, two_s, k, two_shift:
+                            real_r_core(cls, mu, two_s, k + 1, two_shift))
+        for identity, m, k in (("selberg-rho-dec", 0, 0), ("selberg-rho-dec", 2, 1),
+                               ("ruelle-dec", 1, 0)):
+            result = exact_identity_check(FIXTURE_CLASSES, identity, 5, 12, m=m, k=k)
+            assert not result.passed
+            assert (result.first_failure.class_index, result.first_failure.power) == (0, 1)
+        monkeypatch.undo()
+        assert all(r.passed for r in exact_battery())
+
+    def test_each_denominator_built_once(self):
+        for cache in EXACT_CACHES:
+            cache.cache_clear()
+        results = exact_battery()
+        assert sum(len(r.ledger) for r in results) == 2700
+        # 3 classes x 12 powers, and 144 (class, power, m) traces
+        assert exact._denominators.cache_info().misses == 36
+        assert exact._trace_core.cache_info().misses == 144
+
+    def test_cache_sizes_bounded(self):
+        exact_battery()
+        misses = [cache.cache_info().misses for cache in EXACT_CACHES]
+        exact_battery()
+        for cache, before in zip(EXACT_CACHES, misses):
+            info = cache.cache_info()
+            assert info.misses == before  # a second battery builds nothing
+            assert info.maxsize == exact.EXACT_CACHE_SIZE
+            assert info.currsize <= exact.EXACT_CACHE_SIZE
+
+    def test_default_battery_pinned(self):
+        digest = hashlib.sha256()
+        for r in exact_battery():
+            for (ci, mu), sides in r.ledger.items():
+                lhs, rhs = sides["lhs"], sides["rhs"]
+                row = (r.identity_id, r.passed, ci, mu, (lhs._a, lhs._b, lhs._d),
+                       (rhs._a, rhs._b, rhs._d))
+                digest.update(repr(row).encode() + b"\n")
+        assert digest.hexdigest() == DEFAULT_BATTERY_SHA256
 
 
 class TestFloatingAgreement:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geozeta.spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum,
-                              SpectrumError, flip_spins, parse_spectrum,
+from geozeta.spectrum import (POWER_BUDGET, DomainError, GeodesicEntry, GrowthModel,
+                              LengthSpectrum, SpectrumError, flip_spins, parse_spectrum,
                               parse_spectrum_csv, power_holonomy, powers_up_to,
                               serialize_spectrum, tail_bound)
 
@@ -111,6 +111,16 @@ class TestPowers:
         assert mirror.mirrored
         assert abs(mirror.angle - (TWO_PI - 0.4)) < 1e-15
         assert mirror.spin_sign == 1
+
+    def test_power_budget(self):
+        # the unoriented mirror pair counts twice; the message names the entry
+        entries = [GeodesicEntry(1.0, 0.4, 1, 1), GeodesicEntry(2.0 ** -17, 2.0, -1, 1)]
+        spec = LengthSpectrum.build(entries, 12.0, oriented=False)
+        assert len(powers_up_to(spec, 0.25)) == 2 * 2 ** 15
+        assert 2 * (4 + 2 ** 19) > POWER_BUDGET
+        with pytest.raises(DomainError, match=r"needs 1048584 powers.*entries\[0\] "
+                                              r"\(length 7.62939453125e-06\) needs 524288"):
+            powers_up_to(spec, 4.0)
 
     def test_l_cut_must_be_positive(self):
         spec = LengthSpectrum((), 1.0)

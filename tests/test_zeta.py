@@ -12,6 +12,12 @@ EMPTY = LengthSpectrum((), 1.0)
 P_EMPTY = EvalParams(1.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_eval_params_refuse_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        EvalParams(1.0, tol)
+
+
 def single(length=1.0, angle=0.5, spin=1, l_max=40.0):
     return LengthSpectrum.build([GeodesicEntry(length, angle, spin, 1)], l_max)
 
