@@ -8,33 +8,36 @@ in shortest round-trip form, and every computation runs in one fixed
 sequence.  ``verify`` reads its checks from the identity registry
 (``identities.IDENTITIES``).  Report rendering is data-only (JSON); plotting
 is out of scope.
+
+The command itself starts in ``entry.main``, which serves ``validate``
+without importing this module.  This module imports every evaluator at load
+time on purpose: a tracer that wraps functions in the loaded modules (the
+benchmark's ``perfbench/tracelaunch.py``) finds them all after
+``import geozeta.cli``.  ``validate``, the input loaders and the exit-2
+wrapper ``run`` live in ``entry`` and are shared.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
 from pathlib import Path
 
-from .continuation import ManifoldInvariants, parse_invariants
+from .entry import (EXIT_OK, CliError, _load_invariants, _load_spectrum, common,
+                    run, validate_arguments)
 from .heattrace import heat_trace_geometric, small_time_fit
 from .identities import IDENTITIES, battery_reports, predict_torsion_ratio, run_identity
-from .spectrum import LengthSpectrum, SpectrumError, parse_spectrum, parse_spectrum_csv
+from .spectrum import LengthSpectrum
 from .zeta import EvalParams, ruelle_rho, ruelle_sigma, selberg_rho, selberg_sigma, zograf_F, zograf_G
 
-EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
-EXIT_INPUT = 2
 
 IDENTITY_CHOICES = (*IDENTITIES, "all")
 
 EVAL_KINDS = ("ruelle-sigma", "selberg-sigma", "ruelle-rho", "selberg-rho", "F", "G")
-
-
-class CliError(Exception):
-    """Input/usage error; maps to exit status 2."""
 
 
 def _strict(obj):
@@ -67,47 +70,6 @@ def _emit(doc, output: str | None) -> None:
     _write(json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n", output)
 
 
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {what} file: {exc}") from None
-
-
-def _load_spectrum(args, name: str | None = None) -> LengthSpectrum:
-    """The --spectrum file, or the spectrum file ``name`` read the same way."""
-    name = args.spectrum if name is None else name
-    if name is None:
-        raise CliError("this command needs --spectrum")
-    path = Path(name)
-    text = _read_text(path, "spectrum")
-    try:
-        if path.suffix.lower() == ".csv":
-            if args.l_max is None:
-                raise CliError("CSV spectra need --l-max (the completeness cutoff)")
-            return parse_spectrum_csv(text, args.l_max,
-                                      oriented=not args.unoriented,
-                                      label=path.stem)
-        return parse_spectrum(text)
-    except SpectrumError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_invariants(args, required: bool = True,
-                     name: str | None = None) -> ManifoldInvariants | None:
-    """The --invariants file, or the invariants file ``name`` read the same way."""
-    name = args.invariants if name is None else name
-    if name is None:
-        if required:
-            raise CliError("this command needs --invariants")
-        return None
-    text = _read_text(Path(name), "invariants")
-    try:
-        return parse_invariants(text)
-    except ValueError as exc:
-        raise CliError(f"{name}: {exc}") from None
-
-
 def _params(args, spec: LengthSpectrum) -> EvalParams:
     l_cut = args.l_cut if args.l_cut is not None else spec.l_max
     if l_cut > spec.l_max and not args.allow_incomplete:
@@ -121,28 +83,35 @@ def _grid_points(args) -> list[complex]:
     if args.s is not None and args.grid is not None:
         raise CliError("--s and --grid are mutually exclusive")
     if args.s is not None:
-        parts = args.s.split(",")
+        flag, text = "--s", args.s
+        parts = text.split(",")
         try:
             re = float(parts[0])
             im = float(parts[1]) if len(parts) > 1 else 0.0
         except (ValueError, IndexError):
-            raise CliError(f"--s expects 're' or 're,im', got {args.s!r}") from None
-        return [complex(re, im)]
-    if args.grid is not None:
-        parts = args.grid.split(",")
+            raise CliError(f"--s expects 're' or 're,im', got {text!r}") from None
+        points = [complex(re, im)]
+    elif args.grid is not None:
+        flag, text = "--grid", args.grid
+        parts = text.split(",")
         if len(parts) != 4:
-            raise CliError(f"--grid expects 're0,re1,n-points,im', got {args.grid!r}")
+            raise CliError(f"--grid expects 're0,re1,n-points,im', got {text!r}")
         try:
             re0, re1, npts, im = float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3])
         except ValueError:
-            raise CliError(f"--grid expects 're0,re1,n-points,im', got {args.grid!r}") from None
+            raise CliError(f"--grid expects 're0,re1,n-points,im', got {text!r}") from None
         if npts < 1:
             raise CliError("--grid needs at least one point")
         if npts == 1:
-            return [complex(re0, im)]
-        step = (re1 - re0) / (npts - 1)
-        return [complex(re0 + j * step, im) for j in range(npts)]
-    raise CliError("one of --s or --grid is required")
+            points = [complex(re0, im)]
+        else:
+            step = (re1 - re0) / (npts - 1)
+            points = [complex(re0 + j * step, im) for j in range(npts)]
+    else:
+        raise CliError("one of --s or --grid is required")
+    if not all(cmath.isfinite(s) for s in points):
+        raise CliError(f"{flag} must give finite points, got {text!r}")
+    return points
 
 
 def _t_grid_points(t_grid: str) -> list[float]:
@@ -164,40 +133,6 @@ def _t_grid_points(t_grid: str) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # Commands
-
-def cmd_validate(args) -> int:
-    try:
-        spec = _load_spectrum(args)
-    except CliError as exc:
-        print(f"invalid spectrum: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(f"spectrum ok: {len(spec.entries)} entries, l_max={spec.l_max}, "
-          f"oriented={spec.oriented}, label={spec.label!r}")
-    inv = None
-    if args.invariants is not None:
-        try:
-            inv = _load_invariants(args)
-        except CliError as exc:
-            print(f"invalid invariants: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        print(f"invariants ok: volume={inv.volume}, cs={inv.cs}, "
-              f"eta weights={sorted(inv.eta)}")
-    if args.require_eta:
-        if inv is None:
-            print("--require-eta given but no --invariants file", file=sys.stderr)
-            return EXIT_INPUT
-        try:
-            wanted = [int(x) for x in args.require_eta.split(",") if x.strip()]
-        except ValueError:
-            print(f"--require-eta expects comma-separated integers, got {args.require_eta!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        missing = [k for k in wanted if abs(k) not in inv.eta and k != 0]
-        if missing:
-            print(f"missing eta invariants for weights: {missing}", file=sys.stderr)
-            return EXIT_INPUT
-    return EXIT_OK
-
 
 def _zeta_point(spec, p, args, s: complex):
     kind = args.kind
@@ -302,6 +237,8 @@ def cmd_heat_trace(args) -> int:
         return EXIT_OK
     if args.t is None:
         raise CliError("heat-trace needs --t (or --fit with an optional --t-grid)")
+    if not math.isfinite(args.t):
+        raise CliError(f"--t must be finite and positive, got {args.t!r}")
     result = heat_trace_geometric(spec, inv, args.m, args.p, args.t, p)
     _emit({
         "t": result.t,
@@ -323,28 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, identity verification, torsion prediction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, spectrum=True, invariants=True, spectrum_required=True):
-        if spectrum:
-            sp.add_argument("--spectrum", required=spectrum_required,
-                            help="spectrum JSON (or CSV with --l-max)")
-            sp.add_argument("--l-max", type=float, default=None,
-                            help="completeness cutoff for CSV spectra")
-            sp.add_argument("--unoriented", action="store_true",
-                            help="treat a CSV spectrum as unoriented")
-        if invariants:
-            sp.add_argument("--invariants", default=None, help="invariants JSON file")
-        sp.add_argument("--output", default=None, help="write JSON here instead of stdout")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--l-cut", type=float, default=None,
-                        help="truncation cutoff (default: the spectrum's l_max)")
-        sp.add_argument("--allow-incomplete", action="store_true",
-                        help="permit l_cut beyond l_max (results flagged)")
-
     sp = sub.add_parser("validate", help="parse and validate input files")
-    common(sp)
-    sp.add_argument("--require-eta", default=None,
-                    help="comma-separated eta weights that must be present")
-    sp.set_defaults(fn=cmd_validate)
+    validate_arguments(sp)
 
     sp = sub.add_parser("eval", help="evaluate one zeta object on a point or grid")
     common(sp, invariants=False)
@@ -396,16 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if not 0 < args.tol < math.inf:
-            raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
-        return args.fn(args)
-    except (CliError, ValueError) as exc:
-        # SpectrumError, DomainError and EtaNotSuppliedError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

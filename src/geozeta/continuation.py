@@ -12,6 +12,10 @@ unsupported: the identity pipeline only ever needs arguments at least one
 reflection away from it, and no small-eigenvalue data is available to do
 better.  Eta values are stored as plain reals with no mod-2 reduction; they
 enter only through exp(i pi eta).
+
+Importing this module loads no numpy and no evaluator: ``selberg_anywhere``
+imports ``zeta`` when it is called, so parsing invariants (``geozeta
+validate``) needs the standard library only.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .spectrum import DomainError, LengthSpectrum
-from .zeta import FLAG_REFLECTED, EvalParams, ZetaValue, selberg_sigma
+
+if TYPE_CHECKING:
+    from .zeta import EvalParams, ZetaValue
 
 PI_SQ = math.pi * math.pi
 
@@ -169,6 +175,8 @@ def selberg_anywhere(spec: LengthSpectrum, inv: ManifoldInvariants, k: int,
     s -> s-1; the result is flagged "reflected".  Arguments in the strip
     0 <= Re(s) <= 2 are rejected.
     """
+    from .zeta import FLAG_REFLECTED, ZetaValue, selberg_sigma
+
     s = complex(s)
     if s.real > 2.0:
         return selberg_sigma(spec, k, s, p)

@@ -15,6 +15,11 @@ The power enumeration of a spectrum is built once per (spectrum, l_cut) as a
 read-only ``PowerTable`` of numpy columns, cached and shared by every
 evaluator, so each Euler product is one array expression over that table,
 summed correctly rounded with ``math.fsum``.
+
+Importing this module loads no numpy: parsing, validation and serialization
+use the standard library only, and numpy is imported by the two functions
+that build arrays (the power table and the growth fit), so ``geozeta
+validate`` starts without it.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import math
 import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,6 +249,8 @@ def powers_up_to(spec: LengthSpectrum, l_cut: float) -> PowerTable:
 @lru_cache(maxsize=32)
 def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     # vectorized power_holonomy over every (class, m), then the global sort
+    import numpy as np
+
     classes = _expanded_classes(spec)
     base_length = np.array([c.length for c in classes], dtype=float)
     base_angle = np.array([c.angle for c in classes], dtype=float)
@@ -322,6 +330,8 @@ class GrowthModel:
 
 @lru_cache(maxsize=128)
 def _fit_growth(spec: LengthSpectrum) -> GrowthModel:
+    import numpy as np
+
     powers = powers_up_to(spec, spec.l_max)
     if not powers:
         return GrowthModel(0.0)

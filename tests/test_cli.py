@@ -94,6 +94,18 @@ class TestEval:
         assert code == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid", "3,inf,3,0"), ("--grid", "3,4,3,nan"), ("--grid", "-1e308,1e308,3,0"),
+        ("--grid", "inf,inf,1,0"), ("--s", "nan,0"), ("--s", "3,-inf"), ("--s", "inf")])
+    def test_non_finite_point_is_usage_error(self, spec_file, capsys, flag, value):
+        # these printed null coordinates and a numpy RuntimeWarning, and exited 0
+        code = main(["eval", "--spectrum", spec_file, "--kind", "selberg-sigma", "--k", "0",
+                     f"{flag}={value}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must give finite points, got {value!r}\n"
+
     def test_csv_export(self, tmp_path, spec_file):
         out = tmp_path / "out.csv"
         code = main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma",
@@ -247,6 +259,16 @@ class TestPredictAndHeat:
         assert doc["t"] == 0.5 and doc["identity_term"] > 0
         assert main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
                      "--t", "-1.0"]) == 2
+
+    @pytest.mark.parametrize("t", ["inf", "-inf", "nan"])
+    def test_heat_trace_non_finite_t(self, spec_file, inv_file, capsys, t):
+        # --t inf exited 0 with "t": null
+        code = main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                     f"--t={t}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --t must be finite and positive, got {float(t)!r}\n"
 
     @pytest.mark.parametrize("t_grid", ["0,1,5", "-1,1,5", "1,2,x"])
     def test_heat_trace_bad_t_grid(self, spec_file, inv_file, capsys, t_grid):
