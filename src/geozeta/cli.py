@@ -39,6 +39,10 @@ IDENTITY_CHOICES = (*IDENTITIES, "all")
 
 EVAL_KINDS = ("ruelle-sigma", "selberg-sigma", "ruelle-rho", "selberg-rho", "F", "G")
 
+# Most points one ``eval --grid`` may ask for, refused before any is built.
+# The benchmark's largest grid has 80.
+GRID_POINTS_MAX = 10_000
+
 
 def _strict(obj):
     # reports are strict JSON: non-finite floats become null, the flags say why
@@ -102,6 +106,8 @@ def _grid_points(args) -> list[complex]:
             raise CliError(f"--grid expects 're0,re1,n-points,im', got {text!r}") from None
         if npts < 1:
             raise CliError("--grid needs at least one point")
+        if npts > GRID_POINTS_MAX:
+            raise CliError(f"--grid allows at most {GRID_POINTS_MAX} points, got {npts}")
         if npts == 1:
             points = [complex(re0, im)]
         else:

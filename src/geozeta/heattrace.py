@@ -43,11 +43,18 @@ class HeatTraceResult:
 
 
 def _identity_term(p: int, dim: int, volume: float, t: float) -> float:
-    if p == 0:
-        # dim Vol / (4 pi^2) * integral of lambda^2 e^(-t lambda^2)
-        return dim * volume / (4.0 * math.pi ** 2) * (SQRT_PI / 2.0) * t ** -1.5
-    # p = 1 difference: dim Vol / (2 pi^2) * integral of (lambda^2 + 1) e^(-t lambda^2)
-    return dim * volume / (2.0 * math.pi ** 2) * SQRT_PI * (0.5 * t ** -1.5 + t ** -0.5)
+    try:
+        if p == 0:
+            # dim Vol / (4 pi^2) * integral of lambda^2 e^(-t lambda^2)
+            term = dim * volume / (4.0 * math.pi ** 2) * (SQRT_PI / 2.0) * t ** -1.5
+        else:
+            # p = 1 difference: dim Vol / (2 pi^2) * integral of (lambda^2 + 1) e^(-t lambda^2)
+            term = dim * volume / (2.0 * math.pi ** 2) * SQRT_PI * (0.5 * t ** -1.5 + t ** -0.5)
+    except OverflowError:
+        term = math.inf
+    if not math.isfinite(term):
+        raise DomainError(f"t={t!r} is too small: the identity term overflows")
+    return term
 
 
 def _trace_rho(table: PowerTable, m: int) -> np.ndarray:

@@ -12,8 +12,11 @@ every check reports as one ``IdentityReport``.
 
 The two oracles never read the power table the closed-form evaluators share.
 The brute-force oracle multiplies out the literal (p, q) double product: per
-primitive class one numpy array holds every factor, its logs come from
-``numerics.log1m_array`` and are summed correctly rounded.  The determinant
+primitive class one array row holds every factor, its logs come from
+``numerics.log1m_array`` and each row is summed correctly rounded by
+``numerics.fsum_rows``.  Classes go through in chunks of at most
+``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), so the oracle's
+memory is bounded by that budget, not by the spectrum.  The determinant
 oracle rebuilds each class's characteristic polynomial by Newton's
 identities.  Both add their per-class logs with ``numerics.fsum_complex``,
 so their values do not depend on class order.
@@ -41,12 +44,14 @@ from .chars import HolonomyClass, sigma_char, trace_rho
 from .continuation import (ComplexVolume, EtaNotSuppliedError, ManifoldInvariants,
                            eta_lookup, reflect_selberg, selberg_anywhere)
 from .exact import exact_battery
-from .numerics import fsum_complex, log1m_array
+from .numerics import fsum_complex, fsum_rows, log1m_array
 from .spectrum import DomainError, LengthSpectrum, power_holonomy
 from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
 RESIDUAL_FLOOR = 1e-14
+# factors per chunk of classes in the brute-force oracle: 256 kB per complex array
+ORACLE_CHUNK = 2 ** 14
 FLAG_CIRCULAR = "circular-given-functional-equation"
 
 
@@ -177,16 +182,22 @@ def _default_pq_max(spec: LengthSpectrum) -> int:
     return min(90, math.ceil(44.0 / spec.min_length()) + 4)
 
 
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=complex)[:, None]
+
+
 def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
                     pq_max: int | None) -> complex:
     """Literal chi = sigma_k (x) rho_m double product over (p, q) >= 0, p + q <= pq_max.
 
-    Per class, one array holds the factor argument
+    Per class, one array row holds the factor argument
     lam^(m-2j) sigma_k e^-(p (l+i theta) + q (l-i theta)) e^-s l for every
     eigenvalue weight j and every (p, q) pair; its logs are summed correctly
-    rounded, and the class sums likewise.  Only one class's array is alive at
-    a time.  The power table and the closed-form evaluators are not read, so
-    this stays an independent route.
+    rounded, and the class sums likewise.  Classes are taken in chunks of at
+    most ``ORACLE_CHUNK`` factors (one class when a row alone is longer), so
+    memory stays bounded whatever the spectrum's size.  The power table and
+    the closed-form evaluators are not read, so this stays an independent
+    route.
     """
     s = complex(s)
     if pq_max is None:
@@ -196,15 +207,21 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
     keep = pp + qq <= pq_max
     pp, qq = pp[keep], qq[keep]
     weights = m - 2 * np.arange(m + 1)
+    classes = spec.primitive_classes()
+    per_chunk = max(1, ORACLE_CHUNK // (len(weights) * len(pp)))
     class_logs = []
-    for cls in spec.primitive_classes():
-        h = HolonomyClass(cls.length, cls.angle, cls.spin_sign)
-        a = cmath.exp(-complex(cls.length, cls.angle))
-        b = cmath.exp(-complex(cls.length, -cls.angle))
-        c = (sigma_char(h, k) * (a ** exponents)[pp] * (b ** exponents)[qq]
-             * cmath.exp(-s * cls.length))
-        x = np.multiply.outer(h.eigenvalue() ** weights, c)
-        class_logs.append(cls.multiplicity * fsum_complex(log1m_array(x)))
+    for start in range(0, len(classes), per_chunk):
+        chunk = classes[start:start + per_chunk]
+        hol = [HolonomyClass(cls.length, cls.angle, cls.spin_sign) for cls in chunk]
+        a = _column([cmath.exp(-complex(cls.length, cls.angle)) for cls in chunk])
+        b = _column([cmath.exp(-complex(cls.length, -cls.angle)) for cls in chunk])
+        c = (_column([sigma_char(h, k) for h in hol]) * (a ** exponents)[:, pp]
+             * (b ** exponents)[:, qq] * _column([cmath.exp(-s * cls.length) for cls in chunk]))
+        x = (_column([h.eigenvalue() for h in hol]) ** weights)[:, :, None] * c[:, None, :]
+        logs = log1m_array(x).reshape(len(chunk), -1)
+        sums = fsum_rows(np.concatenate((logs.real, logs.imag)))
+        class_logs += [cls.multiplicity * complex(re, im)
+                       for cls, re, im in zip(chunk, sums, sums[len(chunk):])]
     return cmath.exp(fsum_complex(class_logs))
 
 

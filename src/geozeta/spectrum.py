@@ -14,7 +14,7 @@ Spectra are immutable after construction and safe to share across threads.
 The power enumeration of a spectrum is built once per (spectrum, l_cut) as a
 read-only ``PowerTable`` of numpy columns, cached and shared by every
 evaluator, so each Euler product is one array expression over that table,
-summed correctly rounded with ``math.fsum``.
+summed correctly rounded (``numerics``, the value of ``math.fsum``).
 
 Importing this module loads no numpy: parsing, validation and serialization
 use the standard library only, and numpy is imported by the two functions
@@ -298,12 +298,20 @@ class GrowthModel:
     The exponent is pinned at 2, the universal convergence abscissa for
     cocompact groups; only the constant is estimated.  ``rigorous`` is False
     for fitted constants, and every error bound derived from them is flagged
-    heuristic downstream.
+    heuristic downstream.  A rigorous constant holds only for effective
+    exponents in ``[a_min, a_max]``, the range its envelope was established
+    on; a bound at any other exponent is flagged heuristic too.
     """
 
     constant: float
     exponent: float = 2.0
     rigorous: bool = False
+    a_min: float = 2.0
+    a_max: float = math.inf
+
+    def covers(self, a: float) -> bool:
+        """Whether a tail bound at effective exponent ``a`` is rigorous."""
+        return self.rigorous and self.a_min <= a <= self.a_max
 
     @classmethod
     def fit(cls, spec: LengthSpectrum) -> "GrowthModel":
@@ -323,7 +331,9 @@ class GrowthModel:
 
         Valid because a finite class list has an exactly summable geometric
         tail; scans a log grid of exponents and all inter-power cut points.
-        Intended for tests on synthetic data, not for real census spectra.
+        The model records the scanned range: a bound at an exponent outside
+        it is flagged heuristic.  Intended for tests on synthetic data, not
+        for real census spectra.
         """
         return _rigorous_growth(spec, a_min, a_max, n_a)
 
@@ -332,13 +342,15 @@ class GrowthModel:
 def _fit_growth(spec: LengthSpectrum) -> GrowthModel:
     import numpy as np
 
+    from .numerics import fsum_real
+
     powers = powers_up_to(spec, spec.l_max)
     if not powers:
         return GrowthModel(0.0)
     count = np.cumsum(powers.multiplicity)
     logs = np.log(count) - 2.0 * powers.length
     envelope = float(np.max(count * np.exp(-2.0 * powers.length)))
-    c_ls = 2.0 * math.exp(math.fsum(logs.tolist()) / len(logs))
+    c_ls = 2.0 * math.exp(fsum_real(logs) / len(logs))
     return GrowthModel(max(c_ls, 2.0 * envelope) * _FIT_SAFETY)
 
 
@@ -373,7 +385,7 @@ def _rigorous_growth(spec: LengthSpectrum, a_min: float, a_max: float, n_a: int)
             best = max(best, tail * (a - 2.0) * math.exp((a - 2.0) * l_cut))
         a *= ratio
     # margin for exponents between grid points
-    return GrowthModel(best * 1.25, rigorous=True)
+    return GrowthModel(best * 1.25, rigorous=True, a_min=a_min, a_max=a_max)
 
 
 def tail_bound(spec: LengthSpectrum, re_s_effective: float, l_cut: float,

@@ -5,10 +5,10 @@ Every evaluator sums the log of its product over the deterministic power
 enumeration (ascending total length, ties by class index then power),
 truncated at total length l_cut, and exponentiates once at the end.  The
 enumeration is the cached ``PowerTable`` of the spectrum: each log series is
-one numpy expression over its columns, summed correctly rounded with
-``math.fsum``, so results do not depend on summation order.  The Selberg
-double product over (p, q) >= 0 is summed in closed form per power, so a
-single table drives every object.
+one numpy expression over its columns, summed correctly rounded
+(``numerics.fsum_complex``, the value of ``math.fsum``), so results do not
+depend on summation order.  The Selberg double product over (p, q) >= 0 is
+summed in closed form per power, so a single table drives every object.
 
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import fsum_complex
+from .numerics import fsum_complex, fsum_real
 from .spectrum import GrowthModel, LengthSpectrum, PowerTable, powers_up_to, tail_bound
 
 FLAG_FORMAL = "formal-truncation"
@@ -95,7 +95,7 @@ def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
     elif re_eff > 2.0:
         growth = _growth_for(spec, p)
         bound = prefactor * tail_bound(spec, re_eff, p.l_cut, growth) + extra_bound
-        heuristic = not growth.rigorous
+        heuristic = not growth.covers(re_eff)
         if heuristic:
             flags = flags + (FLAG_HEURISTIC,)
     else:
@@ -218,9 +218,9 @@ def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
               for k in range(k_top + 1)]
     log_value = fsum_complex(np.array(layers))
     # remaining k-layers bounded by a geometric series in e^-L
-    k_tail = math.fsum((table.weight * np.exp(-s.real * table.length)
-                        * np.exp(-layer_shift(k_top + 1) * table.length)
-                        / (1.0 - np.exp(-table.length))).tolist())
+    k_tail = fsum_real(table.weight * np.exp(-s.real * table.length)
+                       * np.exp(-layer_shift(k_top + 1) * table.length)
+                       / (1.0 - np.exp(-table.length)))
     re_eff = s.real + layer_shift(0)
     return _finish(spec, p, log_value, re_eff, in_domain, extra_bound=k_tail,
                    flags=(FLAG_DIRECT,))

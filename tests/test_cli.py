@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from geozeta.cli import IDENTITY_CHOICES, _emit, main
+from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, _emit, main
 from geozeta.continuation import serialize_invariants
 from geozeta.identities import IDENTITIES, verify_ruelle_decomposition
 from geozeta.spectrum import serialize_spectrum
@@ -280,6 +280,17 @@ class TestPredictAndHeat:
         err = capsys.readouterr().err
         assert "--t-grid" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["--t", "1e-300"],
+                                      ["--fit", "--t-grid", "1e-300,1e-299,4"]],
+                             ids=["point", "fit"])
+    def test_heat_trace_t_too_small(self, spec_file, inv_file, capsys, argv):
+        # t ** -1.5 overflowed into a traceback with exit 1
+        code = main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file, *argv])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: t=1e-300 is too small: the identity term overflows\n"
+
     def test_heat_trace_fit(self, tmp_path, spec_file, inv_file):
         out = tmp_path / "f.json"
         code = main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
@@ -332,6 +343,24 @@ def test_power_budget_refuses_before_allocating(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "power budget" in err and "12000000" in err and "entries[0]" in err
     assert peak < 10_000_000  # the table would take about a gigabyte
+
+
+def test_grid_cap_refuses_before_allocating(spec_file, capsys):
+    # a million points took 40 MB before the first evaluation
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma", "--k", "0",
+                     "--grid", "3,4,1000000,0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --grid allows at most {GRID_POINTS_MAX} points, got 1000000\n"
+    assert peak < 1_000_000
+    assert main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma", "--k", "0",
+                 "--grid", f"3,4,{GRID_POINTS_MAX + 1},0"]) == 2
 
 
 def strict_loads(text):

@@ -2,24 +2,29 @@
 
 ``scalar_selberg_rho_bruteforce`` and ``scalar_selberg_sigma_bruteforce`` are
 the per-term double-product loops the array kernel replaced, kept verbatim
-as the reference it must match.
+as the reference it must match.  ``scalar_reference.double_product`` is the
+one-class-at-a-time array loop the chunked oracle replaced; the oracle must
+equal it bit for bit.
 """
 
 import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geozeta import identities
 from geozeta import spectrum as spectrum_module
 from geozeta.chars import HolonomyClass, sigma_char
 from geozeta.identities import (_default_pq_max, selberg_rho_bruteforce,
                                 selberg_sigma_bruteforce)
 from geozeta.numerics import log1m_array
 from geozeta.spectrum import GeodesicEntry, LengthSpectrum, flip_spins
-from scalar_reference import CompensatedSum, log1m
+from scalar_reference import CompensatedSum, double_product, log1m
 
 REL = 1e-13
 
@@ -70,6 +75,10 @@ def close(got, want, rel=REL):
     return abs(got - want) <= rel * abs(want)
 
 
+def same_bits(got: complex, want: complex) -> bool:
+    return (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 classes = st.lists(st.tuples(st.floats(1.0, 3.0), st.floats(0.0, 2 * math.pi, exclude_max=True),
                              st.sampled_from([1, -1]), st.integers(1, 2)),
                    min_size=1, max_size=3, unique_by=lambda t: t[0])
@@ -87,8 +96,9 @@ class TestBruteforceMatchesScalarLoop:
         if flipped:
             spec = flip_spins(spec)
         s = complex(2.0 + m / 2 + re_margin, im)
-        assert close(selberg_rho_bruteforce(spec, m, k, s, pq_max),
-                     scalar_selberg_rho_bruteforce(spec, m, k, s, pq_max))
+        got = selberg_rho_bruteforce(spec, m, k, s, pq_max)
+        assert close(got, scalar_selberg_rho_bruteforce(spec, m, k, s, pq_max))
+        assert same_bits(got, double_product(spec, m, k, s, pq_max))
 
     @pytest.mark.parametrize("k", [-3, 0, 1, 2])
     def test_sigma_fixtures(self, small_spec, medium_spec, k):
@@ -115,6 +125,8 @@ class TestBruteforceMatchesScalarLoop:
         empty = LengthSpectrum.build([], 5.0)
         assert selberg_rho_bruteforce(empty, 2, 0, 4.0) == 1.0
         assert selberg_sigma_bruteforce(empty, 1, 4.0) == 1.0
+        assert same_bits(selberg_rho_bruteforce(empty, 2, 0, 4.0),
+                         double_product(empty, 2, 0, 4.0, None))
 
     def test_reads_no_power_table(self):
         # the oracle is the independent route: it must not touch the power table
@@ -124,6 +136,50 @@ class TestBruteforceMatchesScalarLoop:
         selberg_sigma_bruteforce(spec, 1, 3.5)
         after = spectrum_module._power_table.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def specgen_shaped(seed: int, entries: int, systole: float = 2.0, width: float = 2.5,
+                   oriented: bool = False) -> LengthSpectrum:
+    """Lengths with density proportional to e^(2L) on [systole, systole + width],
+    the first at the systole; uniform angles, lift signs and multiplicities 1-2."""
+    rng = random.Random(seed)
+    top = math.pi if not oriented else 2 * math.pi
+    lengths = [systole] + [systole + 0.5 * math.log1p(rng.random() * math.expm1(2 * width))
+                           for _ in range(entries - 1)]
+    return LengthSpectrum.build(
+        [GeodesicEntry(length, rng.uniform(0.0, top), rng.choice((1, -1)), rng.randint(1, 2))
+         for length in lengths], systole + width, oriented)
+
+
+class TestChunkedOracleMatchesPerClassLoop:
+    @pytest.mark.parametrize("m,k", [(0, 0), (1, 0), (2, 2), (3, -1)])
+    def test_fixtures(self, small_spec, medium_spec, m, k):
+        for spec in (small_spec, flip_spins(small_spec), medium_spec, flip_spins(medium_spec)):
+            for s, pq_max in ((3.0 + m / 2 + 0.3j, None), (3.7 + m / 2 - 1.1j, 5)):
+                assert same_bits(selberg_rho_bruteforce(spec, m, k, s, pq_max),
+                                 double_product(spec, m, k, s, pq_max))
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 4, 5, 7])
+    def test_chunk_boundaries(self, monkeypatch, per_chunk, n_classes):
+        # pq_max 4 gives 15 (p, q) pairs; m = 1 gives two weights
+        monkeypatch.setattr(identities, "ORACLE_CHUNK", per_chunk * 2 * 15 + 1)
+        spec = specgen_shaped(n_classes, n_classes, systole=1.0, width=1.5, oriented=True)
+        s = 3.1 + 0.4j
+        assert same_bits(selberg_rho_bruteforce(spec, 1, 1, s, 4),
+                         double_product(spec, 1, 1, s, 4))
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 4000 classes of 1134 factors each: 72 MB as one array, 256 kB a chunk
+        spec = specgen_shaped(5, 2000)
+        assert len(spec.primitive_classes()) * 3 * 378 > 4_000_000
+        tracemalloc.start()
+        try:
+            selberg_rho_bruteforce(spec, 2, 2, 4.0 + 0.3j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestLog1mArray:

@@ -194,6 +194,19 @@ class TestTruncationConsistency:
                 assert not a.heuristic_bound
                 assert abs(b.log_value - a.log_value) <= a.abs_error_bound
 
+    def test_rigorous_only_inside_the_scanned_exponents(self, medium_spec):
+        # at s = 60 the observed error was 1.017 times a bound claimed rigorous
+        growth = GrowthModel.rigorous_envelope(medium_spec)
+        assert (growth.a_min, growth.a_max) == (2.05, 16.0)
+        for s, rigorous in ((2.03, False), (2.05, True), (16.0, True), (20.0, False),
+                            (60.0, False)):
+            a = ruelle_sigma(medium_spec, 0, s, EvalParams(2.0, growth=growth))
+            assert a.heuristic_bound is not rigorous
+            assert ("heuristic-tail-bound" in a.flags) is not rigorous
+            if rigorous:
+                b = ruelle_sigma(medium_spec, 0, s, EvalParams(40.0, growth=growth))
+                assert abs(b.log_value - a.log_value) <= a.abs_error_bound
+
     def test_value_matches_exp_log(self, medium_spec):
         p = EvalParams.for_spectrum(medium_spec)
         for zv in (ruelle_sigma(medium_spec, 1, 2.5 + 1.0j, p),
