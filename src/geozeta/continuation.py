@@ -74,6 +74,8 @@ class ManifoldInvariants:
     def __post_init__(self) -> None:
         if not (self.volume > 0 and math.isfinite(self.volume)):
             raise ValueError(f"volume must be positive, got {self.volume!r}")
+        if not math.isfinite(self.cs):
+            raise ValueError(f"cs must be finite, got {self.cs!r}")
         for k, v in self.eta.items():
             if not (isinstance(k, int) and k >= 1):
                 raise ValueError(f"eta keys must be positive integers, got {k!r}")
@@ -100,7 +102,9 @@ def parse_invariants(text: str) -> ManifoldInvariants:
     """Parse the invariants JSON document {"label", "volume", "cs", "eta": {"1": ...}}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an integer literal over the digit limit, or nesting
+        # deeper than the recursion limit
         raise ValueError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("top-level invariants document must be a JSON object")
@@ -126,6 +130,8 @@ def _real(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def serialize_invariants(inv: ManifoldInvariants) -> str:

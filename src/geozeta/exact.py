@@ -13,12 +13,17 @@ anywhere, so a failure is a formula bug, never noise.
 Reflection and functional-equation identities are out of reach here: they
 involve transcendental exp(Vol ...) factors.
 
-A Gaussian rational is stored as three Python ints (a + b i) / d in lowest
-terms, and equality is a comparison of triples.  Where an identity's two
-sides share a factor, they build it by different routes (selberg-rho-dec sums
-the double product's two geometric series on the left and divides by the
-shared denominator on the right), so a wrong shared helper still shows as a
-failing term.
+A Gaussian rational is stored as three Python ints (a + b i) / d with d > 0.
+Arithmetic leaves its result unreduced; the triple is brought to lowest
+terms (so equality is a comparison of triples) the first time it is read,
+compared, hashed or printed.  Of the values the battery builds, only the two
+sides of each ledger term are ever compared, so it computes one gcd per side
+where it used to compute one per operation.
+
+Where an identity's two sides share a factor, they build it by different
+routes (selberg-rho-dec sums the double product's two geometric series on
+the left and divides by the shared denominator on the right), so a wrong
+shared helper still shows as a failing term.
 
 The factors of one (class, power) that do not depend on s are built once per
 process: the powers q_sqrt^e and u_half^e of each class, the denominator
@@ -48,75 +53,111 @@ Rational = Fraction
 class GaussianRational:
     """Element (a + b i) / d of Q(i) with exact field arithmetic.
 
-    The three Python ints are kept with d > 0 and gcd(a, b, d) = 1.  That form
-    is canonical, so == and hash are exact, and each operation costs a few
-    integer products and one gcd; a GaussianRational operand is read as its
-    triple directly.  ``re`` and ``im`` read back as Fractions; int and
-    Fraction operands mix in on the right of + - / and either side of *.
+    The value is held as one triple of Python ints with d > 0.  ``+ - * /
+    **`` build their result's triple with a few integer products and no gcd,
+    so a result is not in lowest terms in general.  The triple is brought
+    to lowest terms (gcd(a, b, d) = 1), once, when something reads it:
+    ``_a``/``_b``/``_d``, ``re``, ``im``, ``==``, ``hash``, ``str`` and
+    ``repr``; the reduced triple then replaces the raw one, so later
+    operations on the value work with the smaller integers.  That form is
+    canonical, so == and hash are exact.  ``re`` and ``im`` read back as
+    Fractions; int and Fraction operands mix in on the right of + - / and
+    either side of *.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_t", "_canon")
 
     def __init__(self, re=0, im=0) -> None:
         re, im = Fraction(re), Fraction(im)
         # over the lcm of two reduced denominators the triple is already coprime
         d = math.lcm(re.denominator, im.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = im.numerator * (d // im.denominator)
-        self._d = d
+        self._t = (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+        self._canon = True
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
         return cls(re, im)
 
+    def _lowest(self) -> tuple[int, int, int]:
+        # the canonical triple; computed once, then kept in place of the raw one
+        if self._canon:
+            return self._t
+        a, b, d = self._t
+        g = math.gcd(a, b, d)
+        t = (a // g, b // g, d // g) if g != 1 else self._t
+        # the value is unchanged, so a reader of the raw triple sees either form
+        self._t = t
+        self._canon = True
+        return t
+
+    @property
+    def _a(self) -> int:
+        return self._lowest()[0]
+
+    @property
+    def _b(self) -> int:
+        return self._lowest()[1]
+
+    @property
+    def _d(self) -> int:
+        return self._lowest()[2]
+
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        a, _, d = self._lowest()
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        _, b, d = self._lowest()
+        return Fraction(b, d)
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = _lift(other)
-        a, b, d = other._a, other._b, other._d
-        return _reduced(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
+        x, y, e = self._t
+        a, b, d = other._t
+        return _raw(x * d + a * e, y * d + b * e, e * d)
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
             other = _lift(other)
-        a, b, d = other._a, other._b, other._d
-        return _reduced(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
+        x, y, e = self._t
+        a, b, d = other._t
+        return _raw(x * d - a * e, y * d - b * e, e * d)
 
     def __neg__(self) -> "GaussianRational":
-        return _canonical(-self._a, -self._b, self._d)
+        a, b, d = self._t
+        return _raw(-a, -b, d, self._canon)
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = _lift(other)
-        a, b, d = other._a, other._b, other._d
+        x, y, e = self._t
+        a, b, d = other._t
         if b == 0:
-            return _reduced(self._a * a, self._b * a, self._d * d)
-        return _reduced(self._a * a - self._b * b, self._a * b + self._b * a, self._d * d)
+            return _raw(x * a, y * a, e * d)
+        return _raw(x * a - y * b, x * b + y * a, e * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
             other = _lift(other)
-        a, b, d = other._a, other._b, other._d
+        x, y, e = self._t
+        a, b, d = other._t
         if b == 0:
             if a == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return _reduced(self._a * d, self._b * d, self._d * a)
+            if a < 0:  # keep the denominator positive
+                return _raw(-x * d, -y * d, -e * a)
+            return _raw(x * d, y * d, e * a)
         # multiply by the conjugate over the norm a^2 + b^2 > 0
-        return _reduced((self._a * a + self._b * b) * d, (self._b * a - self._a * b) * d,
-                        self._d * (a * a + b * b))
+        return _raw((x * a + y * b) * d, (y * a - x * b) * d, e * (a * a + b * b))
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         base = self if exponent >= 0 else GR_ONE / self
-        x, y = base._a, base._b
+        x, y, d = base._t
         a, b = 1, 0
         e = abs(exponent)
         while e:
@@ -125,28 +166,32 @@ class GaussianRational:
             e >>= 1
             if e:
                 x, y = x * x - y * y, 2 * x * y
-        return _reduced(a, b, base._d ** abs(exponent))
+        return _raw(a, b, d ** abs(exponent))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return self._lowest() == other._lowest()
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        return hash(self._lowest())
 
     def conj(self) -> "GaussianRational":
-        return _canonical(self._a, -self._b, self._d)
+        a, b, d = self._t
+        return _raw(a, -b, d, self._canon)
 
     def norm2(self) -> Fraction:
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
+        a, b, d = self._t
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self._a == 0 and self._b == 0
+        a, b, _ = self._t
+        return a == 0 and b == 0
 
     def to_complex(self) -> complex:
-        # int / int is correctly rounded, as is float(Fraction)
-        return complex(self._a / self._d, self._b / self._d)
+        # int / int is correctly rounded whatever the common factor, as is float(Fraction)
+        a, b, d = self._t
+        return complex(a / d, b / d)
 
     def __repr__(self) -> str:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
@@ -155,27 +200,20 @@ class GaussianRational:
         return f"({self.re})+({self.im})i"
 
 
-def _canonical(a: int, b: int, d: int) -> GaussianRational:
-    # wrap a triple already in canonical form
+def _raw(a: int, b: int, d: int, canon: bool = False) -> GaussianRational:
+    # wrap the triple (a + b i) / d, d > 0; ``canon`` says it is in lowest terms
     z = object.__new__(GaussianRational)
-    z._a, z._b, z._d = a, b, d
+    z._t = (a, b, d)
+    z._canon = canon
     return z
-
-
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    # (a + b i) / d for any nonzero d, brought to canonical form
-    g = math.gcd(a, b, d)
-    if d < 0:
-        g = -g
-    return _canonical(a // g, b // g, d // g)
 
 
 def _lift(value) -> GaussianRational:
     # an int or Fraction operand, as a canonical GaussianRational
     if isinstance(value, int):
-        return _canonical(value, 0, 1)
+        return _raw(value, 0, 1, True)
     value = Fraction(value)
-    return _canonical(value.numerator, 0, value.denominator)
+    return _raw(value.numerator, 0, value.denominator, True)
 
 
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))

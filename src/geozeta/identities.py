@@ -18,8 +18,12 @@ primitive class one array row holds every factor, its logs come from
 ``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), so the oracle's
 memory is bounded by that budget, not by the spectrum.  The determinant
 oracle rebuilds each class's characteristic polynomial by Newton's
-identities.  Both add their per-class logs with ``numerics.fsum_complex``,
-so their values do not depend on class order.
+identities.  Its coefficients do not depend on s, so they are built once per
+(spectrum, m) and kept in an ``lru_cache`` of at most ``NEWTON_CACHE_SIZE``
+(128) entries, each holding m + 2 complex numbers per primitive class; only
+these leaves are cached, and the polynomial is evaluated at every s afresh.
+Both oracles add their per-class logs with ``numerics.fsum_complex``, so
+their values do not depend on class order.
 
 A note on circularity: the special-value checks that need continuation
 (`main-theorem`, and `ruelle-feq`'s reflected side) consume the same volume
@@ -36,6 +40,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,6 +57,8 @@ from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
 RESIDUAL_FLOOR = 1e-14
 # factors per chunk of classes in the brute-force oracle: 256 kB per complex array
 ORACLE_CHUNK = 2 ** 14
+# (spectrum, m) pairs whose Newton coefficients the determinant oracle keeps
+NEWTON_CACHE_SIZE = 128
 FLAG_CIRCULAR = "circular-given-functional-equation"
 
 
@@ -144,17 +151,14 @@ def _run_grid(identity_id: str, grid, point_fn, tol: float,
 # ---------------------------------------------------------------------------
 # Independent oracles
 
-def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
-    """Determinant route for the twisted Ruelle zeta, no weight decomposition.
-
-    Per primitive class the characteristic polynomial of the symmetric-power
-    holonomy is rebuilt from power-sum traces via Newton's identities and
-    evaluated at e^(-s l); the product runs over classes only, so the full
-    power series of each determinant is implicit in the closed form.
-    """
-    s = complex(s)
+@lru_cache(maxsize=NEWTON_CACHE_SIZE)
+def _newton_coefficients(spec: LengthSpectrum, m: int) -> tuple[tuple[complex, ...], ...]:
+    """Per primitive class, the coefficients (-1)^j e_j of the characteristic
+    polynomial det(1 - x rho_m(gamma)) = sum_j (-1)^j e_j x^j, with the
+    elementary symmetric e_j rebuilt from power-sum traces by Newton's
+    identities.  They do not depend on s."""
     dim = m + 1
-    class_logs = []
+    out = []
     for cls in spec.primitive_classes():
         power_sums = []
         for i in range(1, dim + 1):
@@ -166,11 +170,28 @@ def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
             for i in range(1, j + 1):
                 total += (-1) ** (i - 1) * elem[j - i] * power_sums[i - 1]
             elem.append(total / j)
+        out.append(tuple((-1) ** j * elem[j] for j in range(dim + 1)))
+    return tuple(out)
+
+
+def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
+    """Determinant route for the twisted Ruelle zeta, no weight decomposition.
+
+    Per primitive class the characteristic polynomial of the symmetric-power
+    holonomy is rebuilt from power-sum traces via Newton's identities and
+    evaluated at e^(-s l); the product runs over classes only, so the full
+    power series of each determinant is implicit in the closed form.  The
+    polynomial's coefficients come from ``_newton_coefficients``, built once
+    per (spectrum, m); the evaluation at s is done afresh on every call.
+    """
+    s = complex(s)
+    class_logs = []
+    for cls, coefficients in zip(spec.primitive_classes(), _newton_coefficients(spec, m)):
         x = cmath.exp(-s * cls.length)
         det = 0j
         xp = 1.0 + 0j
-        for j in range(dim + 1):
-            det += (-1) ** j * elem[j] * xp
+        for c in coefficients:
+            det += c * xp
             xp *= x
         class_logs.append(cls.multiplicity * cmath.log(det))
     return cmath.exp(fsum_complex(class_logs))

@@ -39,6 +39,11 @@ if TYPE_CHECKING:
 TWO_PI = 2.0 * math.pi
 
 
+# Largest multiplicity an entry may carry: every integer up to 2^53 is exact as
+# a float and fits the power table's int64 column.
+MULTIPLICITY_MAX = 2 ** 53
+
+
 class SpectrumError(ValueError):
     """Malformed or inconsistent spectrum data."""
 
@@ -63,8 +68,9 @@ class GeodesicEntry:
             raise SpectrumError(f"angle must lie in [0, 2*pi), got {self.angle!r}")
         if self.spin_sign not in (1, -1):
             raise SpectrumError(f"spin_sign must be +1 or -1, got {self.spin_sign!r}")
-        if not (isinstance(self.multiplicity, int) and self.multiplicity >= 1):
-            raise SpectrumError(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
+        if not (isinstance(self.multiplicity, int) and 1 <= self.multiplicity <= MULTIPLICITY_MAX):
+            raise SpectrumError(f"multiplicity must be a positive integer up to 2^53, "
+                                f"got {self.multiplicity!r}")
 
 
 @dataclass(frozen=True)
@@ -423,9 +429,11 @@ def _entry_from_fields(where: str, length, angle, spin_sign, multiplicity) -> Ge
         mult_f = float(multiplicity)
     except (TypeError, ValueError) as exc:
         raise SpectrumError(f"{where}: non-numeric field ({exc})") from None
-    if spin_f != int(spin_f):
+    except OverflowError as exc:
+        raise SpectrumError(f"{where}: numeric field too large for a float ({exc})") from None
+    if not (math.isfinite(spin_f) and spin_f == int(spin_f)):
         raise SpectrumError(f"{where}: spin_sign must be +1 or -1, got {spin_sign!r}")
-    if mult_f != int(mult_f):
+    if not (math.isfinite(mult_f) and mult_f == int(mult_f)):
         raise SpectrumError(f"{where}: multiplicity must be an integer, got {multiplicity!r}")
     try:
         return GeodesicEntry(length_f, angle_f, int(spin_f), int(mult_f))
@@ -442,7 +450,9 @@ def parse_spectrum(text: str) -> LengthSpectrum:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a decode error, an integer literal over the digit limit, or nesting
+        # deeper than the recursion limit
         raise SpectrumError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpectrumError("top-level document must be a JSON object")
@@ -465,6 +475,8 @@ def parse_spectrum(text: str) -> LengthSpectrum:
         l_max = float(doc["l_max"])
     except (TypeError, ValueError):
         raise SpectrumError("'l_max' must be a number") from None
+    except OverflowError:
+        raise SpectrumError("'l_max' is too large for a float") from None
     oriented = doc.get("oriented", True)
     if not isinstance(oriented, bool):
         raise SpectrumError("'oriented' must be a boolean")
@@ -481,14 +493,18 @@ def parse_spectrum_csv(text: str, l_max: float, oriented: bool = True,
     l_max arrives out of band (a sidecar flag in the CLI) because CSV has no
     place for document-level metadata.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text))
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise SpectrumError(f"not valid CSV: {exc}") from None
     if not rows:
         raise SpectrumError("empty CSV document")
     header = [c.strip() for c in rows[0]]
     if header != ["length", "angle", "spin_sign", "multiplicity"]:
         raise SpectrumError(
-            f"line 1: expected header length,angle,spin_sign,multiplicity, got {','.join(header)}")
+            f"line 1: expected header length,angle,spin_sign,multiplicity, "
+            f"got {','.join(header)!r}")
     entries = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 4:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import fsum_complex, fsum_real
+from .numerics import fsum_complex, fsum_real, fsum_rows
 from .spectrum import GrowthModel, LengthSpectrum, PowerTable, powers_up_to, tail_bound
 
 FLAG_FORMAL = "formal-truncation"
@@ -34,6 +34,10 @@ FLAG_HEURISTIC = "heuristic-tail-bound"
 FLAG_RATIO = "ratio-form"
 FLAG_DIRECT = "direct-k-product"
 FLAG_REFLECTED = "reflected"
+
+# elements per block of k-layers x powers in the Zograf direct path: 256 kB
+# per complex array
+ZOGRAF_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,9 @@ def _base_flags(spec: LengthSpectrum, p: EvalParams) -> tuple[str, ...]:
 
 def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
             in_domain: bool, extra_bound: float = 0.0, prefactor: float = 1.0,
-            flags: tuple[str, ...] = ()) -> ZetaValue:
+            flags: tuple[str, ...] = (), re_top: float | None = None) -> ZetaValue:
+    # the bound is rigorous only if the growth model covers every effective
+    # exponent in [re_eff, re_top] the log series reaches
     flags = _base_flags(spec, p) + flags
     heuristic = False
     if not spec.entries:
@@ -95,7 +101,7 @@ def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
     elif re_eff > 2.0:
         growth = _growth_for(spec, p)
         bound = prefactor * tail_bound(spec, re_eff, p.l_cut, growth) + extra_bound
-        heuristic = not growth.covers(re_eff)
+        heuristic = not (growth.covers(re_eff) and (re_top is None or growth.covers(re_top)))
         if heuristic:
             flags = flags + (FLAG_HEURISTIC,)
     else:
@@ -122,6 +128,14 @@ def _sigma_terms(table: PowerTable, k: int, s: complex) -> np.ndarray:
     if k % 2:
         chi = table.spin_sign * chi
     return -table.weight * chi * np.exp(-s * table.length)
+
+
+def _sigma_block(table: PowerTable, ks: list[int], ss: list[complex]) -> np.ndarray:
+    # row i is _sigma_terms(table, ks[i], ss[i]), by the same operations in the same order
+    chi = np.exp(np.array([0.5j * k for k in ks])[:, None] * table.angle)
+    odd = np.array([k % 2 == 1 for k in ks])
+    chi[odd] = table.spin_sign * chi[odd]
+    return -table.weight * chi * np.exp(-np.array(ss)[:, None] * table.length)
 
 
 def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -213,17 +227,24 @@ def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
         raise ValueError(f"method must be 'auto', 'ratio' or 'direct', got {method!r}")
     table = powers_up_to(spec, p.l_cut)
     k_top = _k_top(spec)
-    # the literal k-layer sum, one vector per layer: never k_top x powers at once
-    layers = [fsum_complex(_sigma_terms(table, layer_char(k), s + layer_shift(k)))
-              for k in range(k_top + 1)]
+    # the literal k-layer sum, in blocks of layers x powers of at most
+    # ZOGRAF_BLOCK elements (one layer when a row alone is longer)
+    per_block = max(1, ZOGRAF_BLOCK // max(1, len(table)))
+    layers = []
+    for start in range(0, k_top + 1, per_block):
+        ks = range(start, min(start + per_block, k_top + 1))
+        terms = _sigma_block(table, [layer_char(k) for k in ks],
+                             [s + layer_shift(k) for k in ks])
+        sums = fsum_rows(np.concatenate((terms.real, terms.imag)))
+        layers += [complex(re, im) for re, im in zip(sums, sums[len(ks):])]
     log_value = fsum_complex(np.array(layers))
     # remaining k-layers bounded by a geometric series in e^-L
     k_tail = fsum_real(table.weight * np.exp(-s.real * table.length)
                        * np.exp(-layer_shift(k_top + 1) * table.length)
                        / (1.0 - np.exp(-table.length)))
-    re_eff = s.real + layer_shift(0)
-    return _finish(spec, p, log_value, re_eff, in_domain, extra_bound=k_tail,
-                   flags=(FLAG_DIRECT,))
+    # layer k sits at exponent Re(s) + layer_shift(k), up to the top layer's
+    return _finish(spec, p, log_value, s.real + layer_shift(0), in_domain, extra_bound=k_tail,
+                   flags=(FLAG_DIRECT,), re_top=s.real + layer_shift(k_top))
 
 
 @lru_cache(maxsize=128)

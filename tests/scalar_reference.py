@@ -6,7 +6,10 @@ per-term loops the tests compare against use these scalar helpers, the ones
 the package ran before it was vectorized: a Neumaier accumulator fed in a
 fixed order and a series/principal-log ``log1m``.  ``double_product`` is the
 brute-force Selberg oracle as it ran one class at a time, summed by
-``math.fsum`` term by term.
+``math.fsum`` term by term.  ``zograf_direct_log`` is the Zograf direct
+path's k-layer sum as it ran one layer at a time, and ``ruelle_rho_direct``
+the determinant oracle as it rebuilt every class's Newton coefficients at
+each s.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ import math
 
 import numpy as np
 
-from geozeta.chars import HolonomyClass, sigma_char
+from geozeta.chars import HolonomyClass, sigma_char, trace_rho
 from geozeta.identities import _default_pq_max
 from geozeta.numerics import log1m_array
+from geozeta.spectrum import power_holonomy, powers_up_to
+from geozeta.zeta import _k_top, _sigma_terms
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -106,4 +111,51 @@ def double_product(spec, m: int, k: int, s: complex, pq_max: int | None) -> comp
              * cmath.exp(-s * cls.length))
         x = np.multiply.outer(h.eigenvalue() ** weights, c)
         class_logs.append(cls.multiplicity * fsum_complex(log1m_array(x)))
+    return cmath.exp(fsum_complex(class_logs))
+
+
+def zograf_direct_log(spec, s: complex, p, layer_char, layer_shift) -> complex:
+    """The Zograf direct path's log value as it was summed one k-layer at a time.
+
+    ``zeta._zograf`` builds the layers in blocks and sums a block's rows with
+    one ``numerics.fsum_rows`` call; every term comes from the same operations
+    in the same order as ``_sigma_terms``, so this loop is its bit-for-bit
+    reference.
+    """
+    table = powers_up_to(spec, p.l_cut)
+    k_top = _k_top(spec)
+    # the literal k-layer sum, one vector per layer: never k_top x powers at once
+    layers = [fsum_complex(_sigma_terms(table, layer_char(k), s + layer_shift(k)))
+              for k in range(k_top + 1)]
+    return fsum_complex(np.array(layers))
+
+
+def ruelle_rho_direct(spec, m: int, s: complex) -> complex:
+    """The determinant oracle as it rebuilt each class's Newton coefficients at every s.
+
+    ``identities.ruelle_rho_direct`` takes the s-independent coefficients
+    (-1)^j e_j from a cache and evaluates the same polynomial by the same
+    operations, so this loop is its bit-for-bit reference.
+    """
+    s = complex(s)
+    dim = m + 1
+    class_logs = []
+    for cls in spec.primitive_classes():
+        power_sums = []
+        for i in range(1, dim + 1):
+            length, angle, sign = power_holonomy(cls.length, cls.angle, cls.spin_sign, i)
+            power_sums.append(trace_rho(HolonomyClass(length, angle, sign), m))
+        elem = [1.0 + 0j]
+        for j in range(1, dim + 1):
+            total = 0j
+            for i in range(1, j + 1):
+                total += (-1) ** (i - 1) * elem[j - i] * power_sums[i - 1]
+            elem.append(total / j)
+        x = cmath.exp(-s * cls.length)
+        det = 0j
+        xp = 1.0 + 0j
+        for j in range(dim + 1):
+            det += (-1) ** j * elem[j] * xp
+            xp *= x
+        class_logs.append(cls.multiplicity * cmath.log(det))
     return cmath.exp(fsum_complex(class_logs))

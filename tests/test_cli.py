@@ -1,9 +1,11 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from geozeta import exact, fixtures, identities, spectrum, zeta
 from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, _emit, main
 from geozeta.continuation import serialize_invariants
 from geozeta.identities import IDENTITIES, verify_ruelle_decomposition
@@ -396,3 +398,27 @@ def test_csv_writes_non_finite_as_empty_field(tmp_path, spec_file):
     assert "inf" not in outside and "nan" not in outside
     bound = dict(zip(header.split(","), inside.split(",")))["abs_error_bound"]
     assert math.isfinite(float(bound))
+
+
+def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path):
+    # the second run in one process reuses the Newton, exact and power-table
+    # caches the first one filled, and must not change a byte of the report
+    caches = (identities._newton_coefficients, exact._q_sqrt_power, exact._u_half_power,
+              exact._denominators, exact._trace_core, spectrum._power_table,
+              spectrum._expanded_classes, spectrum._fit_growth, zeta._k_top,
+              zeta._selberg_prefactor)
+    for cache in caches:
+        cache.cache_clear()
+    here = Path(fixtures.__file__).parent
+    for name in ("small", "medium"):
+        runs = []
+        for run in ("cold", "warm"):
+            out = tmp_path / f"{name}-{run}.json"
+            assert main(["verify", "--identity", "all",
+                         "--spectrum", str(here / f"spectrum_{name}.json"),
+                         "--invariants", str(here / "invariants_synthetic.json"),
+                         "--output", str(out)]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+    for cache in (identities._newton_coefficients, exact._denominators, spectrum._power_table):
+        assert cache.cache_info().hits > 0

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,6 +124,30 @@ class TestAgainstFractionPairs:
         via_ops = (GR(a, b) * scale) / scale
         assert unreduced == GR(a, b) == via_ops
         assert hash(unreduced) == hash(GR(a, b)) == hash(via_ops)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fractions, fractions, fractions, fractions, st.integers(-5, 6))
+    def test_unreduced_results(self, a, b, c, d, exponent):
+        # operations leave triples unreduced, but never with d <= 0
+        x, y = GR(a, b), GR(c, d)
+        results = [x + y, x - y, x * y, -x, x.conj(), x * c, c * x, x + c, x - c]
+        if (c, d) != (0, 0):
+            results.append(x / y)
+        if c != 0:
+            results.append(x / c)
+        if (a, b) != (0, 0) or exponent >= 0:
+            results.append(x ** exponent)
+        # == decides by cross-multiplication, on unreduced triples too
+        assert (x == y) == (pair(x) == pair(y))
+        assert x * y == GR(*pair(x * y)) and x - y == GR(*pair(x - y))
+        assert x + GR(0, 1) != x and x + 1 != x and (x * 2 == x) == x.is_zero()
+        for z in results:
+            assert z._t[2] > 0
+            raw = z._t
+            lowest = (z._a, z._b, z._d)
+            assert lowest[2] > 0 and math.gcd(*lowest) == 1
+            assert raw[0] * lowest[2] == lowest[0] * raw[2]
+            assert raw[1] * lowest[2] == lowest[1] * raw[2]
 
     def test_lowest_terms_spot_check(self):
         assert GR(2 / 4, 6 / 8) == GR(Fraction(1, 2), Fraction(3, 4))
@@ -318,6 +343,40 @@ class TestExactCaches:
                        (rhs._a, rhs._b, rhs._d))
                 digest.update(repr(row).encode() + b"\n")
         assert digest.hexdigest() == DEFAULT_BATTERY_SHA256
+
+
+# unit-circle points ((p^2 - q^2) + 2pq i) / (p^2 + q^2) of Pythagorean triples
+pythagorean = st.tuples(st.integers(1, 9), st.integers(0, 9), st.sampled_from([1, -1]),
+                        st.booleans())
+
+
+def unit_point(p, q, sign, swap):
+    r = p * p + q * q
+    re, im = Fraction(p * p - q * q, r), Fraction(2 * p * q, r)
+    if swap:
+        re, im = im, re
+    return GR(sign * re, im)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(EXACT_IDENTITIES),
+       st.one_of(st.sampled_from(FIXTURE_CLASSES),
+                 st.builds(lambda q, u: ExactClass(q, unit_point(*u)),
+                           st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
+                                        max_denominator=20).filter(lambda q: 0 < q < 1),
+                           pythagorean)),
+       st.integers(1, 12), st.integers(4, 14), st.integers(0, 3), st.integers(-3, 3),
+       st.integers(2, 5))
+def test_ledger_triples_are_in_lowest_terms(identity, cls, mu, two_s, m, k, n):
+    # both sides of every ledger term: d > 0 before and after reduction, and
+    # gcd(a, b, d) = 1 once read
+    lhs, rhs = identity_terms(identity, cls, mu, Fraction(two_s, 2), m=m, k=k, n=n)
+    for z in (lhs, rhs):
+        assert z._t[2] > 0
+        a, b, d = z._a, z._b, z._d
+        assert d > 0 and math.gcd(a, b, d) == 1
+        assert z._t == (a, b, d)
+    assert lhs == rhs
 
 
 class TestFloatingAgreement:

@@ -19,6 +19,7 @@ from geozeta.identities import (IDENTITIES, _ruelle_reflected_log, battery_repor
                                 verify_selberg_rho_decomposition, verify_zograf_ratio)
 from geozeta.spectrum import DomainError, LengthSpectrum, flip_spins
 from geozeta.zeta import EvalParams, ruelle_rho, selberg_rho, selberg_sigma
+import scalar_reference
 
 EMPTY = LengthSpectrum((), 1.0)
 P_EMPTY = EvalParams(1.0)
@@ -302,6 +303,54 @@ def test_report_json_shape(small_spec):
                          "points", "flags"]
     assert len(doc["points"]) == len(default_grid(3.5))
     assert all(len(pt["s"]) == 2 for pt in doc["points"])
+
+
+def same_bits(got: complex, want: complex) -> bool:
+    return (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.fixture
+def cold_newton_cache():
+    # each test starts and leaves the determinant oracle's coefficient cache empty
+    identities._newton_coefficients.cache_clear()
+    yield identities._newton_coefficients
+    identities._newton_coefficients.cache_clear()
+
+
+class TestNewtonOracle:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_the_per_class_loop(self, small_spec, medium_spec, m):
+        for spec in (small_spec, flip_spins(small_spec), medium_spec, flip_spins(medium_spec),
+                     EMPTY):
+            for s in (3.0 + m / 2 + 0.3j, 4.1 - 1.2j, 2.6 + m / 2):
+                assert same_bits(identities.ruelle_rho_direct(spec, m, s),
+                                 scalar_reference.ruelle_rho_direct(spec, m, s))
+
+    def test_coefficients_built_once_per_spectrum_and_m(self, small_spec, cold_newton_cache):
+        report = verify_ruelle_decomposition(small_spec, 2)
+        assert report.passed and len(report.points) == 8
+        verify_ruelle_decomposition(small_spec, 1)
+        info = cold_newton_cache.cache_info()
+        assert (info.misses, info.hits) == (2, 14)
+        assert info.maxsize == identities.NEWTON_CACHE_SIZE
+
+    @pytest.mark.parametrize("target", ["power_holonomy", "trace_rho"])
+    def test_injected_fault_fails_prop_ruelle_dec(self, small_spec, monkeypatch,
+                                                  cold_newton_cache, target):
+        real = getattr(identities, target)
+        if target == "power_holonomy":
+            def faulty(length, angle, spin_sign, m):
+                length, angle, sign = real(length, angle, spin_sign, m)
+                return length * 1.001, angle, sign
+        else:
+            def faulty(h, m):
+                return real(h, m) * 1.001
+        monkeypatch.setattr(identities, target, faulty)
+        report = run_identity("prop-ruelle-dec", small_spec, None, m=2)
+        assert not report.passed and report.max_residual > 1e-6
+        monkeypatch.undo()
+        cold_newton_cache.cache_clear()
+        assert run_identity("prop-ruelle-dec", small_spec, None, m=2).passed
 
 
 class TestRegistry:

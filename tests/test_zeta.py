@@ -1,12 +1,16 @@
 import cmath
 import math
+import random
 
 import pytest
 
+from geozeta import zeta
 from geozeta.identities import selberg_rho_bruteforce, selberg_sigma_bruteforce
-from geozeta.spectrum import GeodesicEntry, GrowthModel, LengthSpectrum, flip_spins
+from geozeta.spectrum import (GeodesicEntry, GrowthModel, LengthSpectrum, flip_spins,
+                              powers_up_to)
 from geozeta.zeta import (EvalParams, ruelle_rho, ruelle_sigma, selberg_rho,
                           selberg_sigma, zograf_F, zograf_G)
+from scalar_reference import zograf_direct_log
 
 EMPTY = LengthSpectrum((), 1.0)
 P_EMPTY = EvalParams(1.0)
@@ -176,6 +180,64 @@ class TestZograf:
         assert ok.in_convergence_domain
 
 
+def zograf_layers(parity: str, n: int):
+    """layer_char and layer_shift of F_n (even) or G_n (odd), as ``zeta`` defines them."""
+    if parity == "even":
+        return (lambda j: -2 * (n + j)), (lambda j: n + j)
+    return (lambda j: -(2 * (n + j) + 1)), (lambda j: n + j + 0.5)
+
+
+def same_bits(got: complex, want: complex) -> bool:
+    return (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def assert_direct_matches_layer_loop(spec, parity, n, s, p):
+    evaluator = zograf_F if parity == "even" else zograf_G
+    got = evaluator(spec, n, s, p, method="direct")
+    want = zograf_direct_log(spec, complex(s), p, *zograf_layers(parity, n))
+    assert same_bits(got.log_value, want)
+    assert same_bits(got.value, cmath.exp(want))
+
+
+class TestZografBlocks:
+    """The direct path sums its k-layers in blocks; the per-layer loop is the reference."""
+
+    @pytest.mark.parametrize("parity,n", [("even", 3), ("even", 1), ("odd", 2), ("odd", 0)])
+    def test_fixtures_match_the_layer_loop(self, small_spec, medium_spec, parity, n):
+        for spec in (small_spec, flip_spins(small_spec), medium_spec, flip_spins(medium_spec)):
+            p = EvalParams.for_spectrum(spec)
+            for s in (0.0, 0.5 + 0.3j, 2.25 - 1.1j, -0.4):
+                assert_direct_matches_layer_loop(spec, parity, n, s, p)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("parity,n", [("even", 3), ("odd", 2)])
+    def test_block_boundaries(self, monkeypatch, small_spec, medium_spec, per_block, parity, n):
+        # both fixtures have 24 layers: 5 per block leaves a short last block
+        for spec in (small_spec, medium_spec):
+            p = EvalParams.for_spectrum(spec)
+            rows = len(powers_up_to(spec, p.l_cut))
+            monkeypatch.setattr(zeta, "ZOGRAF_BLOCK", per_block * rows + rows - 1)
+            assert_direct_matches_layer_loop(spec, parity, n, 0.5 + 0.2j, p)
+
+    def test_long_table_two_layers_per_block(self):
+        # 1400 unoriented entries: over 6000 powers, so the budget takes two
+        # layers per block, each row past the fsum_rows crossover
+        rng = random.Random(3)
+        lengths = sorted({2.0 + 0.5 * math.log1p(rng.random() * math.expm1(5.0))
+                          for _ in range(1400)})
+        spec = LengthSpectrum.build(
+            [GeodesicEntry(length, rng.uniform(0.0, math.pi), rng.choice((1, -1)),
+                           rng.randint(1, 2)) for length in lengths], 12.0, oriented=False)
+        p = EvalParams.for_spectrum(spec)
+        assert zeta.ZOGRAF_BLOCK // len(powers_up_to(spec, p.l_cut)) == 2
+        for parity, n in (("even", 3), ("odd", 2)):
+            assert_direct_matches_layer_loop(spec, parity, n, 0.75 + 0.3j, p)
+
+    def test_empty_spectrum(self):
+        assert_direct_matches_layer_loop(EMPTY, "even", 3, 0.5, P_EMPTY)
+        assert_direct_matches_layer_loop(EMPTY, "odd", 2, 0.5, P_EMPTY)
+
+
 class TestTruncationConsistency:
     def test_tail_bound_covers_refinement(self):
         # rigorous growth: enlarging l_cut moves the log by less than the
@@ -206,6 +268,19 @@ class TestTruncationConsistency:
             if rigorous:
                 b = ruelle_sigma(medium_spec, 0, s, EvalParams(40.0, growth=growth))
                 assert abs(b.log_value - a.log_value) <= a.abs_error_bound
+
+    def test_direct_zograf_rigorous_only_if_every_layer_is_covered(self, medium_spec):
+        # at s = 0.5 the layers of F_3 reach exponents 3.5 to 3.5 + k_top = 26.5,
+        # those of G_2 3.0 to 26.0
+        assert zeta._k_top(medium_spec) == 23
+        for a_max, rigorous_f, rigorous_g in ((16.0, False, False), (26.0, False, True),
+                                              (40.0, True, True)):
+            growth = GrowthModel.rigorous_envelope(medium_spec, a_max=a_max, n_a=40)
+            p = EvalParams(12.0, growth=growth)
+            for zv, rigorous in ((zograf_F(medium_spec, 3, 0.5, p, method="direct"), rigorous_f),
+                                 (zograf_G(medium_spec, 2, 0.5, p, method="direct"), rigorous_g)):
+                assert zv.heuristic_bound is not rigorous
+                assert ("heuristic-tail-bound" in zv.flags) is not rigorous
 
     def test_value_matches_exp_log(self, medium_spec):
         p = EvalParams.for_spectrum(medium_spec)
