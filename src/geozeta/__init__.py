@@ -16,7 +16,7 @@ numpy.
 import importlib
 
 _EXPORTS = {
-    "chars": ("HolonomyClass", "discriminant_D", "sigma_char", "trace_rho"),
+    "chars": ("discriminant_D", "sigma_char", "trace_rho"),
     "continuation": ("ComplexVolume", "EtaNotSuppliedError", "ManifoldInvariants",
                      "eta_lookup", "parse_invariants", "reflect_selberg",
                      "selberg_anywhere", "serialize_invariants"),
@@ -33,7 +33,7 @@ _EXPORTS = {
                    "verify_rho_selberg_quotient", "verify_ruelle_decomposition",
                    "verify_ruelle_functional_equation",
                    "verify_selberg_rho_decomposition", "verify_zograf_ratio"),
-    "spectrum": ("DomainError", "GeodesicEntry", "GeodesicPower", "GrowthModel",
+    "spectrum": ("DomainError", "GeodesicEntry", "GrowthModel",
                  "LengthSpectrum", "PowerTable", "SpectrumError", "flip_spins",
                  "parse_spectrum", "parse_spectrum_csv", "powers_up_to",
                  "serialize_spectrum", "tail_bound"),

@@ -6,48 +6,32 @@ eigenvalue is spin_sign * exp(i*theta/2).  The torus characters of weight k
 are evaluated on that half-angle eigenvalue, which is the normalization that
 makes the weight-k Ruelle factors carry exp((k/2) i theta).  Even weights are
 independent of the lift branch by construction; odd weights expose it.
+
+Every function takes one class or power as a row with ``length``, ``angle``
+and ``spin_sign``: a ``spectrum.GeodesicEntry``, whose construction validates
+the three.  The power table applies the same formulas to its columns.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .spectrum import GeodesicPower, SpectrumError
-
-
-@dataclass(frozen=True)
-class HolonomyClass:
-    """Conjugacy data (length, rotation angle, lift sign) of one class."""
-
-    length: float
-    angle: float
-    spin_sign: int
-
-    def __post_init__(self) -> None:
-        if self.spin_sign not in (1, -1):
-            raise SpectrumError(f"spin_sign must be +1 or -1, got {self.spin_sign!r}")
-
-    @classmethod
-    def of(cls, obj) -> "HolonomyClass":
-        """Adapt a GeodesicPower / PrimitiveClass / entry-like object."""
-        if isinstance(obj, cls):
-            return obj
-        return cls(obj.length, obj.angle, obj.spin_sign)
-
-    def eigenvalue(self) -> complex:
-        """Lifted eigenvalue spin * exp((length + i*angle)/2)."""
-        return self.spin_sign * cmath.exp(0.5 * complex(self.length, self.angle))
+from .spectrum import GeodesicEntry
 
 
-def sigma_char(h: HolonomyClass | GeodesicPower, k: int) -> complex:
+def eigenvalue(h: GeodesicEntry) -> complex:
+    """Lifted eigenvalue spin * exp((length + i*angle)/2)."""
+    return h.spin_sign * cmath.exp(0.5 * complex(h.length, h.angle))
+
+
+def sigma_char(h: GeodesicEntry, k: int) -> complex:
     """Weight-k character on the rotation part: spin^k * exp(i k angle / 2)."""
     sign = h.spin_sign if k % 2 else 1
     return sign * cmath.exp(0.5j * k * h.angle)
 
 
-def trace_rho(h: HolonomyClass | GeodesicPower, m: int) -> complex:
+def trace_rho(h: GeodesicEntry, m: int) -> complex:
     """Trace of the m-th symmetric power on the class.
 
     The restriction to the diagonal torus splits into weights m, m-2, ..., -m,
@@ -55,14 +39,14 @@ def trace_rho(h: HolonomyClass | GeodesicPower, m: int) -> complex:
     """
     if m < 0:
         raise ValueError(f"symmetric-power index must be >= 0, got {m}")
-    lam = HolonomyClass.of(h).eigenvalue()
+    lam = eigenvalue(h)
     total = 0j
     for j in range(m + 1):
         total += lam ** (m - 2 * j)
     return total
 
 
-def discriminant_D(h: HolonomyClass | GeodesicPower) -> float:
+def discriminant_D(h: GeodesicEntry) -> float:
     """Poincare-map discriminant e^l * |1 - e^-(l + i*theta)|^2, always positive."""
     if not h.length > 0:
         raise ValueError(f"length must be positive, got {h.length!r}")

@@ -19,15 +19,14 @@ wrapper ``run`` live in ``entry`` and are shared.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import math
 import sys
 from pathlib import Path
 
-from .entry import (EXIT_OK, CliError, _load_invariants, _load_spectrum, common,
-                    run, validate_arguments)
+from .entry import (EXIT_OK, ArgumentParser, CliError, _load_invariants, _load_spectrum,
+                    common, run, validate_arguments)
 from .heattrace import heat_trace_geometric, small_time_fit
 from .identities import IDENTITIES, battery_reports, predict_torsion_ratio, run_identity
 from .spectrum import LengthSpectrum
@@ -259,8 +258,8 @@ def cmd_heat_trace(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="geozeta",
         description="Geodesic zeta functions of closed hyperbolic 3-manifolds: "
                     "evaluation, identity verification, torsion prediction.")

@@ -32,6 +32,16 @@ class CliError(Exception):
     """Input/usage error; maps to exit status 2."""
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """``argparse.ArgumentParser`` whose usage errors print one line, not the
+    usage block, and exit 2; subparsers are built from this class too."""
+
+    def error(self, message: str):
+        # an unrecognized argument is echoed as given and may hold a line break
+        message = "\\n".join(message.splitlines())
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _read_text(path: Path, what: str) -> str:
     try:
         return path.read_text(encoding="utf-8")
@@ -150,7 +160,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["validate"]:
         # the prog of cli's validate subparser, so usage and errors read the same
-        parser = argparse.ArgumentParser(prog="geozeta validate")
+        parser = ArgumentParser(prog="geozeta validate")
         validate_arguments(parser)
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:

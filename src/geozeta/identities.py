@@ -45,12 +45,12 @@ from typing import Callable
 
 import numpy as np
 
-from .chars import HolonomyClass, sigma_char, trace_rho
+from .chars import eigenvalue, sigma_char, trace_rho
 from .continuation import (ComplexVolume, EtaNotSuppliedError, ManifoldInvariants,
                            eta_lookup, reflect_selberg, selberg_anywhere)
 from .exact import exact_battery
 from .numerics import fsum_complex, fsum_rows, log1m_array
-from .spectrum import DomainError, LengthSpectrum, power_holonomy
+from .spectrum import DomainError, GeodesicEntry, LengthSpectrum, power_holonomy
 from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
@@ -162,8 +162,8 @@ def _newton_coefficients(spec: LengthSpectrum, m: int) -> tuple[tuple[complex, .
     for cls in spec.primitive_classes():
         power_sums = []
         for i in range(1, dim + 1):
-            length, angle, sign = power_holonomy(cls.length, cls.angle, cls.spin_sign, i)
-            power_sums.append(trace_rho(HolonomyClass(length, angle, sign), m))
+            power = GeodesicEntry(*power_holonomy(cls.length, cls.angle, cls.spin_sign, i))
+            power_sums.append(trace_rho(power, m))
         elem = [1.0 + 0j]
         for j in range(1, dim + 1):
             total = 0j
@@ -182,17 +182,22 @@ def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
     evaluated at e^(-s l); the product runs over classes only, so the full
     power series of each determinant is implicit in the closed form.  The
     polynomial's coefficients come from ``_newton_coefficients``, built once
-    per (spectrum, m); the evaluation at s is done afresh on every call.
+    per (spectrum, m); the evaluation at s is done afresh on every call.  A
+    determinant that rounds to 0 raises a ``DomainError`` naming the class.
     """
     s = complex(s)
     class_logs = []
-    for cls, coefficients in zip(spec.primitive_classes(), _newton_coefficients(spec, m)):
+    for i, (cls, coefficients) in enumerate(zip(spec.primitive_classes(),
+                                                _newton_coefficients(spec, m))):
         x = cmath.exp(-s * cls.length)
         det = 0j
         xp = 1.0 + 0j
         for c in coefficients:
             det += c * xp
             xp *= x
+        if det == 0:
+            raise DomainError(f"det(1 - x rho_{m}) rounds to 0 on class {i} "
+                              f"(length {cls.length!r}, m {m}); its log is undefined")
         class_logs.append(cls.multiplicity * cmath.log(det))
     return cmath.exp(fsum_complex(class_logs))
 
@@ -233,12 +238,11 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
     class_logs = []
     for start in range(0, len(classes), per_chunk):
         chunk = classes[start:start + per_chunk]
-        hol = [HolonomyClass(cls.length, cls.angle, cls.spin_sign) for cls in chunk]
         a = _column([cmath.exp(-complex(cls.length, cls.angle)) for cls in chunk])
         b = _column([cmath.exp(-complex(cls.length, -cls.angle)) for cls in chunk])
-        c = (_column([sigma_char(h, k) for h in hol]) * (a ** exponents)[:, pp]
+        c = (_column([sigma_char(cls, k) for cls in chunk]) * (a ** exponents)[:, pp]
              * (b ** exponents)[:, qq] * _column([cmath.exp(-s * cls.length) for cls in chunk]))
-        x = (_column([h.eigenvalue() for h in hol]) ** weights)[:, :, None] * c[:, None, :]
+        x = (_column([eigenvalue(cls) for cls in chunk]) ** weights)[:, :, None] * c[:, None, :]
         logs = log1m_array(x).reshape(len(chunk), -1)
         sums = fsum_rows(np.concatenate((logs.real, logs.imag)))
         class_logs += [cls.multiplicity * complex(re, im)

@@ -10,6 +10,10 @@ per geodesic pair {gamma, gamma^-1}, with the canonical representative's angle
 in [0, pi]; every consumer then adds the mirror class with angle 2*pi - theta
 and the same lift sign.
 
+``GeodesicEntry`` is the one row type for an entry, an expanded class (whose
+index is its position in the expanded list) and a single power; the power
+table's columns are the only vector form.
+
 Spectra are immutable after construction and safe to share across threads.
 The power enumeration of a spectrum is built once per (spectrum, l_cut) as a
 read-only ``PowerTable`` of numpy columns, cached and shared by every
@@ -31,7 +35,7 @@ import math
 import threading
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,8 +131,9 @@ class LengthSpectrum:
         ordered = sorted(entries, key=lambda e: (e.length, e.angle, e.spin_sign))
         return cls(tuple(ordered), l_max, oriented, label)
 
-    def primitive_classes(self) -> tuple["PrimitiveClass", ...]:
-        """Expanded class list; unoriented entries contribute their mirror too."""
+    def primitive_classes(self) -> tuple[GeodesicEntry, ...]:
+        """Expanded class list: the entries themselves when oriented; otherwise
+        each entry followed by its mirror, so entry i's mirror is class 2i + 1."""
         return _expanded_classes(self)
 
     def min_length(self) -> float:
@@ -137,47 +142,14 @@ class LengthSpectrum:
         return self.entries[0].length
 
 
-@dataclass(frozen=True)
-class PrimitiveClass:
-    """One primitive conjugacy class in the expanded (entry + mirror) list."""
-
-    index: int
-    length: float
-    angle: float
-    spin_sign: int
-    multiplicity: int
-    mirrored: bool = False
-
-
-@dataclass(frozen=True)
-class GeodesicPower:
-    """The class gamma = gamma_0^m of a primitive class gamma_0.
-
-    ``angle`` is m*theta_0 reduced mod 2*pi and ``spin_sign`` carries the
-    branch correction (-1)^wraps so that the lifted eigenvalue relation
-    spin_sign * exp(i*angle/2) = (base eigenvalue)^m holds exactly.
-    """
-
-    base_index: int
-    m: int
-    length: float
-    angle: float
-    spin_sign: int
-    multiplicity: int
-    base_length: float
-    base_angle: float
-    base_spin_sign: int
-
-
 @lru_cache(maxsize=128)
-def _expanded_classes(spec: LengthSpectrum) -> tuple[PrimitiveClass, ...]:
-    out: list[PrimitiveClass] = []
+def _expanded_classes(spec: LengthSpectrum) -> tuple[GeodesicEntry, ...]:
+    if spec.oriented:
+        return spec.entries
+    out: list[GeodesicEntry] = []
     for e in spec.entries:
-        out.append(PrimitiveClass(len(out), e.length, e.angle, e.spin_sign, e.multiplicity))
-        if not spec.oriented:
-            mirror_angle = math.fmod(TWO_PI - e.angle, TWO_PI)
-            out.append(PrimitiveClass(len(out), e.length, mirror_angle, e.spin_sign,
-                                      e.multiplicity, mirrored=True))
+        mirror_angle = math.fmod(TWO_PI - e.angle, TWO_PI)
+        out += (e, GeodesicEntry(e.length, mirror_angle, e.spin_sign, e.multiplicity))
     return tuple(out)
 
 
@@ -195,8 +167,8 @@ def power_holonomy(length: float, angle: float, spin_sign: int, m: int) -> tuple
 
 _TABLE_LOCK = threading.Lock()
 
-# Most rows one power table may hold (about 100 MB of columns).  The largest
-# table of the benchmark spectra has 14,590 rows.
+# Most rows one power table may hold (64 MB of columns: eight 8-byte columns
+# per row).  The largest table of the benchmark spectra has 14,590 rows.
 POWER_BUDGET = 1_000_000
 
 
@@ -204,22 +176,20 @@ POWER_BUDGET = 1_000_000
 class PowerTable:
     """Every power gamma_0^m of total length <= l_cut, as read-only columns.
 
-    Row i is the i-th power in the fixed enumeration order; the first nine
-    columns are the fields of ``GeodesicPower`` and iterating the table yields
-    those rows.  ``weight`` is multiplicity / m, the log-series coefficient,
-    and ``denominator`` is the Selberg factor
+    Row i is the i-th power gamma_0^m in the fixed enumeration order: ``m``,
+    the power's ``length``, ``angle`` and ``spin_sign`` as ``power_holonomy``
+    gives them, and the class's ``multiplicity`` and ``base_length``.
+    ``weight`` is multiplicity / m, the log-series coefficient, and
+    ``denominator`` is the Selberg factor
     (1 - e^-(L + i theta)) (1 - e^-(L - i theta)) = |1 - e^-(L + i theta)|^2.
     """
 
-    base_index: np.ndarray
     m: np.ndarray
     length: np.ndarray
     angle: np.ndarray
     spin_sign: np.ndarray
     multiplicity: np.ndarray
     base_length: np.ndarray
-    base_angle: np.ndarray
-    base_spin_sign: np.ndarray
     weight: np.ndarray
     denominator: np.ndarray
 
@@ -229,10 +199,6 @@ class PowerTable:
 
     def __len__(self) -> int:
         return len(self.m)
-
-    def __iter__(self) -> Iterator[GeodesicPower]:
-        columns = [getattr(self, f.name).tolist() for f in fields(GeodesicPower)]
-        return (GeodesicPower(*row) for row in zip(*columns))
 
 
 def powers_up_to(spec: LengthSpectrum, l_cut: float) -> PowerTable:
@@ -259,7 +225,7 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
 
     classes = _expanded_classes(spec)
     base_length = np.array([c.length for c in classes], dtype=float)
-    base_angle = np.array([c.angle for c in classes], dtype=float)
+    base_theta = np.array([c.angle for c in classes], dtype=float)
     base_spin = np.array([c.spin_sign for c in classes], dtype=np.int64)
     mult = np.array([c.multiplicity for c in classes], dtype=np.int64)
     m_top = np.floor(l_cut / base_length + 1e-12)
@@ -275,7 +241,7 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     base = np.repeat(np.arange(len(classes), dtype=np.int64), m_top)
     starts = np.repeat(np.cumsum(m_top) - m_top, m_top)
     m = np.arange(len(base), dtype=np.int64) - starts + 1
-    total = m * base_angle[base]
+    total = m * base_theta[base]
     red = np.fmod(total, TWO_PI)
     wraps = np.rint((total - red) / TWO_PI).astype(np.int64)
     over = red >= TWO_PI  # guard against fmod landing on the divisor through rounding
@@ -286,8 +252,7 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     order = np.lexsort((m, base, length))
     base, m, length, red, sign = base[order], m[order], length[order], red[order], sign[order]
     w = 1.0 - np.exp(-(length + 1j * red))
-    return PowerTable(base, m, length, red, sign, mult[base], base_length[base],
-                      base_angle[base], base_spin[base], mult[base] / m,
+    return PowerTable(m, length, red, sign, mult[base], base_length[base], mult[base] / m,
                       w.real * w.real + w.imag * w.imag)
 
 

@@ -113,13 +113,10 @@ def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
                      p.l_cut, flags)
 
 
-@lru_cache(maxsize=128)
 def _selberg_prefactor(spec: LengthSpectrum) -> float:
-    """Bound on 1/|(1-e^-m(l+it))(1-e^-m(l-it))| over all classes and powers."""
-    worst = 1.0
-    for cls in spec.primitive_classes():
-        worst = max(worst, (1.0 - math.exp(-cls.length)) ** -2)
-    return worst
+    """Bound on 1/|(1-e^-m(l+it))(1-e^-m(l-it))| over all classes and powers:
+    each factor is at least 1 - e^-ml, least at the shortest length and m = 1."""
+    return (1.0 - math.exp(-spec.min_length())) ** -2
 
 
 def _sigma_terms(table: PowerTable, k: int, s: complex) -> np.ndarray:

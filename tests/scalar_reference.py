@@ -9,7 +9,8 @@ brute-force Selberg oracle as it ran one class at a time, summed by
 ``math.fsum`` term by term.  ``zograf_direct_log`` is the Zograf direct
 path's k-layer sum as it ran one layer at a time, and ``ruelle_rho_direct``
 the determinant oracle as it rebuilt every class's Newton coefficients at
-each s.
+each s.  ``power_rows`` turns a power table's columns back into one
+``GeodesicEntry`` per power, for the per-power loops.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import math
 
 import numpy as np
 
-from geozeta.chars import HolonomyClass, sigma_char, trace_rho
+from geozeta.chars import eigenvalue, sigma_char, trace_rho
 from geozeta.identities import _default_pq_max
 from geozeta.numerics import log1m_array
-from geozeta.spectrum import power_holonomy, powers_up_to
+from geozeta.spectrum import GeodesicEntry, power_holonomy, powers_up_to
 from geozeta.zeta import _k_top, _sigma_terms
 
 
@@ -104,12 +105,11 @@ def double_product(spec, m: int, k: int, s: complex, pq_max: int | None) -> comp
     weights = m - 2 * np.arange(m + 1)
     class_logs = []
     for cls in spec.primitive_classes():
-        h = HolonomyClass(cls.length, cls.angle, cls.spin_sign)
         a = cmath.exp(-complex(cls.length, cls.angle))
         b = cmath.exp(-complex(cls.length, -cls.angle))
-        c = (sigma_char(h, k) * (a ** exponents)[pp] * (b ** exponents)[qq]
+        c = (sigma_char(cls, k) * (a ** exponents)[pp] * (b ** exponents)[qq]
              * cmath.exp(-s * cls.length))
-        x = np.multiply.outer(h.eigenvalue() ** weights, c)
+        x = np.multiply.outer(eigenvalue(cls) ** weights, c)
         class_logs.append(cls.multiplicity * fsum_complex(log1m_array(x)))
     return cmath.exp(fsum_complex(class_logs))
 
@@ -144,7 +144,7 @@ def ruelle_rho_direct(spec, m: int, s: complex) -> complex:
         power_sums = []
         for i in range(1, dim + 1):
             length, angle, sign = power_holonomy(cls.length, cls.angle, cls.spin_sign, i)
-            power_sums.append(trace_rho(HolonomyClass(length, angle, sign), m))
+            power_sums.append(trace_rho(GeodesicEntry(length, angle, sign), m))
         elem = [1.0 + 0j]
         for j in range(1, dim + 1):
             total = 0j
@@ -159,3 +159,15 @@ def ruelle_rho_direct(spec, m: int, s: complex) -> complex:
             xp *= x
         class_logs.append(cls.multiplicity * cmath.log(det))
     return cmath.exp(fsum_complex(class_logs))
+
+
+def power_rows(table) -> list[tuple[GeodesicEntry, int, float]]:
+    """Each row of a power table as (the power's GeodesicEntry, m, base_length).
+
+    The entry carries the power's length, angle, spin_sign and multiplicity
+    columns, so the ``chars`` functions take it as they take any class.
+    """
+    columns = (table.length, table.angle, table.spin_sign, table.multiplicity, table.m,
+               table.base_length)
+    return [(GeodesicEntry(length, angle, sign, mult), m, base)
+            for length, angle, sign, mult, m, base in zip(*(c.tolist() for c in columns))]

@@ -344,7 +344,22 @@ def test_power_budget_refuses_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "power budget" in err and "12000000" in err and "entries[0]" in err
-    assert peak < 10_000_000  # the table would take about a gigabyte
+    assert peak < 10_000_000  # the table would take about 0.8 GB
+
+
+def test_vanishing_determinant_names_the_class(tmp_path):
+    # det(1 - x rho_1) of a class of length 1e-300 rounds to 0 at every point
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps({"l_max": 2.0, "entries": [
+        {"length": 1e-300, "angle": 0.0, "spin_sign": 1, "multiplicity": 1}]}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--identity", "prop-ruelle-dec", "--m", "1",
+                 "--spectrum", str(spec), "--output", str(out)]) == 1
+    points = json.loads(out.read_text())["points"]
+    assert len(points) == 8
+    for point in points:
+        assert point["flags"] == ["error: det(1 - x rho_1) rounds to 0 on class 0 "
+                                  "(length 1e-300, m 1); its log is undefined"]
 
 
 def test_grid_cap_refuses_before_allocating(spec_file, capsys):
@@ -405,8 +420,7 @@ def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path):
     # caches the first one filled, and must not change a byte of the report
     caches = (identities._newton_coefficients, exact._q_sqrt_power, exact._u_half_power,
               exact._denominators, exact._trace_core, spectrum._power_table,
-              spectrum._expanded_classes, spectrum._fit_growth, zeta._k_top,
-              zeta._selberg_prefactor)
+              spectrum._expanded_classes, spectrum._fit_growth, zeta._k_top)
     for cache in caches:
         cache.cache_clear()
     here = Path(fixtures.__file__).parent

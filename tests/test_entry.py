@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import geozeta
-from geozeta import cli
+from geozeta import cli, entry
 
 SRC = Path(geozeta.__file__).resolve().parent.parent
 FIXTURES = SRC / "geozeta" / "fixtures"
@@ -121,3 +121,52 @@ def test_validate_route_matches_full_cli(tmp_path, capsys, monkeypatch):
         proc = _python("-m", "geozeta", *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), case
         assert rc == (0 if case in ("good", "help") else 2), case
+
+
+# Each command with a bad int, a bad float, a bad choice, a missing required
+# option and an unknown option, where it has such an option (``validate`` has
+# no int or choice option), plus no command, an unknown command and an
+# unrecognized argument holding a line break.
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["nope"],
+    "validate-float": ["validate", "--spectrum", SPECTRA[0], "--l-max", "abc"],
+    "validate-missing": ["validate", "--invariants", INVARIANTS],
+    "validate-unknown": ["validate", "--spectrum", SPECTRA[0], "--bogus"],
+    "validate-line-break": ["validate", "--spectrum", SPECTRA[0], "a\nb"],
+    "eval-int": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--n", "x"],
+    "eval-float": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--tol", "x"],
+    "eval-choice": ["eval", "--spectrum", SPECTRA[0], "--kind", "nope"],
+    "eval-missing": ["eval", "--spectrum", SPECTRA[0]],
+    "eval-unknown": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--bogus", "1"],
+    "verify-int": ["verify", "--identity", "all", "--m", "x"],
+    "verify-float": ["verify", "--identity", "all", "--l-cut", "x"],
+    "verify-choice": ["verify", "--identity", "nope"],
+    "verify-missing": ["verify", "--spectrum", SPECTRA[0]],
+    "verify-unknown": ["verify", "--identity", "all", "--bogus"],
+    "predict-int": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "x",
+                    "--parity", "even"],
+    "predict-float": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3",
+                      "--parity", "even", "--tol", "x"],
+    "predict-choice": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3",
+                       "--parity", "nope"],
+    "predict-missing": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3"],
+    "predict-unknown": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3",
+                        "--parity", "even", "--bogus"],
+    "heat-int": ["heat-trace", "--spectrum", SPECTRA[0], "--m", "x"],
+    "heat-float": ["heat-trace", "--spectrum", SPECTRA[0], "--t", "x"],
+    "heat-choice": ["heat-trace", "--spectrum", SPECTRA[0], "--p", "3"],
+    "heat-missing": ["heat-trace", "--t", "1.0"],
+    "heat-unknown": ["heat-trace", "--spectrum", SPECTRA[0], "--bogus"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_print_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        entry.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("geozeta") and ": error: " in err

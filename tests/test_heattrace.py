@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from geozeta.chars import HolonomyClass, discriminant_D, trace_rho
+from geozeta.chars import discriminant_D, trace_rho
 from geozeta.continuation import ManifoldInvariants
 from geozeta.heattrace import heat_trace_geometric, small_time_fit
 from geozeta.spectrum import (DomainError, GeodesicEntry, LengthSpectrum,
                               power_holonomy, powers_up_to)
 from geozeta.zeta import EvalParams
+from scalar_reference import power_rows
 
 EMPTY = LengthSpectrum((), 1.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -56,7 +57,7 @@ class TestHyperbolicTerm:
             mu = 1
             while mu * e.length <= p.l_cut:
                 length, angle, sign = power_holonomy(e.length, e.angle, e.spin_sign, mu)
-                h = HolonomyClass(length, angle, sign)
+                h = GeodesicEntry(length, angle, sign)
                 total += (e.multiplicity * e.length * trace_rho(h, m) / discriminant_D(h)
                           * 2.0 * math.cos(angle)
                           / math.sqrt(4 * math.pi * t) * math.exp(-length ** 2 / (4 * t)))
@@ -79,10 +80,11 @@ class TestHyperbolicTerm:
             b = heat_trace_geometric(spec, invariants, 1, 0, t, EvalParams(cut2))
             delta = abs(b.hyperbolic_term - a.hyperbolic_term)
             # every added term carries the wave factor below the cut threshold
-            added = [pw for pw in powers_up_to(spec, cut2) if pw.length > cut1]
+            added = [(pw, base) for pw, _, base in power_rows(powers_up_to(spec, cut2))
+                     if pw.length > cut1]
             cap = gauss * math.exp(-cut1 ** 2 / (4 * t)) * sum(
-                pw.multiplicity * pw.base_length
-                * abs(trace_rho(pw, 1)) / discriminant_D(pw) for pw in added)
+                pw.multiplicity * base
+                * abs(trace_rho(pw, 1)) / discriminant_D(pw) for pw, base in added)
             assert delta <= cap + 1e-18
 
     def test_rejects_bad_time(self, small_spec, invariants):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from geozeta import identities
 from geozeta import spectrum as spectrum_module
-from geozeta.chars import HolonomyClass, sigma_char
+from geozeta.chars import eigenvalue, sigma_char
 from geozeta.identities import (_default_pq_max, selberg_rho_bruteforce,
                                 selberg_sigma_bruteforce)
 from geozeta.numerics import log1m_array
@@ -36,8 +36,7 @@ def scalar_selberg_sigma_bruteforce(spec, k, s, pq_max=None):
         pq_max = _default_pq_max(spec)
     acc = CompensatedSum()
     for cls in spec.primitive_classes():
-        h = HolonomyClass(cls.length, cls.angle, cls.spin_sign)
-        sig = sigma_char(h, k)
+        sig = sigma_char(cls, k)
         a = cmath.exp(-complex(cls.length, cls.angle))
         b = cmath.exp(-complex(cls.length, -cls.angle))
         t = cmath.exp(-s * cls.length)
@@ -55,9 +54,8 @@ def scalar_selberg_rho_bruteforce(spec, m, k, s, pq_max=None):
         pq_max = _default_pq_max(spec)
     acc = CompensatedSum()
     for cls in spec.primitive_classes():
-        h = HolonomyClass(cls.length, cls.angle, cls.spin_sign)
-        sig = sigma_char(h, k)
-        lam = h.eigenvalue()
+        sig = sigma_char(cls, k)
+        lam = eigenvalue(cls)
         eigen = [lam ** (m - 2 * j) for j in range(m + 1)]
         a = cmath.exp(-complex(cls.length, cls.angle))
         b = cmath.exp(-complex(cls.length, -cls.angle))

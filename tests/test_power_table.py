@@ -17,49 +17,53 @@ from hypothesis import strategies as st
 from geozeta import spectrum as spectrum_module
 from geozeta.chars import discriminant_D, sigma_char, trace_rho
 from geozeta.heattrace import heat_trace_geometric
-from geozeta.spectrum import (TWO_PI, GeodesicEntry, GeodesicPower, LengthSpectrum,
-                              flip_spins, power_holonomy, powers_up_to)
+from geozeta.spectrum import (TWO_PI, GeodesicEntry, LengthSpectrum, PowerTable, flip_spins,
+                              power_holonomy, powers_up_to)
 from geozeta.zeta import (EvalParams, _k_top, ruelle_sigma, selberg_sigma, zograf_F,
                           zograf_G)
-from scalar_reference import CompensatedSum
+from scalar_reference import CompensatedSum, power_rows
 
 REL = 1e-13
 
 
+SCALAR_COLUMNS = ("m", "length", "angle", "spin_sign", "multiplicity", "base_length")
+
+
 def scalar_powers(spec, l_cut):
-    out = []
-    for cls in spec.primitive_classes():
+    """The table's ``SCALAR_COLUMNS`` from one ``power_holonomy`` call per power."""
+    rows = []
+    for index, cls in enumerate(spec.primitive_classes()):
         m_top = int(math.floor(l_cut / cls.length + 1e-12))
         for m in range(1, m_top + 1):
             length, angle, sign = power_holonomy(cls.length, cls.angle, cls.spin_sign, m)
-            out.append(GeodesicPower(cls.index, m, length, angle, sign, cls.multiplicity,
-                                     cls.length, cls.angle, cls.spin_sign))
-    out.sort(key=lambda p: (p.length, p.base_index, p.m))
-    return out
+            rows.append((length, index, m, angle, sign, cls.multiplicity, cls.length))
+    rows.sort(key=lambda row: row[:3])
+    length, _, m, angle, sign, mult, base = (list(c) for c in zip(*rows)) if rows else [[]] * 7
+    return dict(zip(SCALAR_COLUMNS, (m, length, angle, sign, mult, base)))
 
 
 def loop_ruelle_log(spec, k, s, l_cut):
     acc = CompensatedSum()
-    for pw in powers_up_to(spec, l_cut):
-        acc.add(-(pw.multiplicity / pw.m) * sigma_char(pw, k) * cmath.exp(-s * pw.length))
+    for pw, m, _ in power_rows(powers_up_to(spec, l_cut)):
+        acc.add(-(pw.multiplicity / m) * sigma_char(pw, k) * cmath.exp(-s * pw.length))
     return acc.value
 
 
 def loop_selberg_log(spec, k, s, l_cut):
     acc = CompensatedSum()
-    for pw in powers_up_to(spec, l_cut):
+    for pw, m, _ in power_rows(powers_up_to(spec, l_cut)):
         x = cmath.exp(complex(-pw.length, -pw.angle))
         y = cmath.exp(complex(-pw.length, pw.angle))
-        acc.add(-(pw.multiplicity / pw.m) * sigma_char(pw, k) * cmath.exp(-s * pw.length)
+        acc.add(-(pw.multiplicity / m) * sigma_char(pw, k) * cmath.exp(-s * pw.length)
                 / ((1.0 - x) * (1.0 - y)))
     return acc.value
 
 
 def loop_zograf_log(spec, s, l_cut, layer_char, layer_shift):
     acc = CompensatedSum()
-    for pw in powers_up_to(spec, l_cut):
+    for pw, m, _ in power_rows(powers_up_to(spec, l_cut)):
         for k in range(_k_top(spec) + 1):
-            acc.add(-(pw.multiplicity / pw.m) * sigma_char(pw, layer_char(k))
+            acc.add(-(pw.multiplicity / m) * sigma_char(pw, layer_char(k))
                     * cmath.exp(-(s + layer_shift(k)) * pw.length))
     return acc.value
 
@@ -67,9 +71,9 @@ def loop_zograf_log(spec, s, l_cut, layer_char, layer_shift):
 def loop_heat_hyperbolic(spec, m, p, t, l_cut):
     acc = CompensatedSum()
     gauss = 1.0 / math.sqrt(4.0 * math.pi * t)
-    for pw in powers_up_to(spec, l_cut):
+    for pw, _, base_length in power_rows(powers_up_to(spec, l_cut)):
         weight = 1.0 if p == 0 else 2.0 * math.cos(pw.angle)
-        acc.add(pw.multiplicity * pw.base_length * trace_rho(pw, m) / discriminant_D(pw)
+        acc.add(pw.multiplicity * base_length * trace_rho(pw, m) / discriminant_D(pw)
                 * weight * gauss * math.exp(-pw.length ** 2 / (4.0 * t)))
     return acc.value
 
@@ -97,19 +101,27 @@ class TestTableMatchesScalarEnumeration:
         spec = LengthSpectrum.build(entries, 12.0, oriented)
         table = powers_up_to(spec, l_cut)
         want = scalar_powers(spec, l_cut)
-        got = list(table)
-        assert got == want
-        for a, b in zip(got, want):  # same Python types, not just equal values
-            assert [type(v) for v in vars(a).values()] == [type(v) for v in vars(b).values()]
-        assert table.weight.tolist() == [p.multiplicity / p.m for p in want]
-        for d, p in zip(table.denominator.tolist(), want):
-            x = cmath.exp(complex(-p.length, -p.angle))
+        for name, column in want.items():
+            got = getattr(table, name).tolist()
+            assert got == column, name
+            # same Python types, not just equal values
+            assert [type(v) for v in got] == [type(v) for v in column], name
+        assert table.weight.tolist() == [mu / m for mu, m in zip(want["multiplicity"], want["m"])]
+        for d, length, angle in zip(table.denominator.tolist(), want["length"], want["angle"]):
+            x = cmath.exp(complex(-length, -angle))
             assert close(d, ((1.0 - x) * (1.0 - x.conjugate())).real, 1e-15)
 
     def test_len_and_cache(self, medium_spec):
         table = powers_up_to(medium_spec, medium_spec.l_max)
-        assert len(table) == len(scalar_powers(medium_spec, medium_spec.l_max))
+        assert len(table) == len(scalar_powers(medium_spec, medium_spec.l_max)["m"])
         assert powers_up_to(medium_spec, medium_spec.l_max) is table
+
+
+def test_the_columns_are_the_eight_the_evaluators_read():
+    assert [f.name for f in dataclasses.fields(PowerTable)] == [
+        "m", "length", "angle", "spin_sign", "multiplicity", "base_length", "weight",
+        "denominator"]
+    assert not hasattr(PowerTable, "__iter__")
 
 
 def test_columns_are_read_only(small_spec):

@@ -1,7 +1,9 @@
 import cmath
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,8 +90,7 @@ class TestCsv:
 class TestPowers:
     def test_single_class(self):
         spec = LengthSpectrum.build([GeodesicEntry(1.0, 0.3, 1, 1)], 10.0)
-        ms = [p.m for p in powers_up_to(spec, 3.5)]
-        assert ms == [1, 2, 3]
+        assert powers_up_to(spec, 3.5).m.tolist() == [1, 2, 3]
 
     def test_empty(self):
         spec = LengthSpectrum((), 1.0)
@@ -99,7 +100,7 @@ class TestPowers:
         # hand enumeration: 1.0*{1,2,3} and 1.6*{1,2}, merged ascending
         spec = LengthSpectrum.build(
             [GeodesicEntry(1.0, 0.3, 1, 1), GeodesicEntry(1.6, 0.4, 1, 1)], 10.0)
-        lengths = [round(p.length, 12) for p in powers_up_to(spec, 3.3)]
+        lengths = [round(length, 12) for length in powers_up_to(spec, 3.3).length.tolist()]
         assert lengths == [1.0, 1.6, 2.0, 3.0, 3.2]
 
     def test_mirror_powers_for_unoriented(self):
@@ -107,10 +108,22 @@ class TestPowers:
         oriented = LengthSpectrum.build(entries, 10.0, oriented=True)
         unoriented = LengthSpectrum.build(entries, 10.0, oriented=False)
         assert len(powers_up_to(unoriented, 6.0)) == 2 * len(powers_up_to(oriented, 6.0))
-        mirror = unoriented.primitive_classes()[1]
-        assert mirror.mirrored
-        assert abs(mirror.angle - (TWO_PI - 0.4)) < 1e-15
-        assert mirror.spin_sign == 1
+        assert oriented.primitive_classes() is oriented.entries
+        classes = unoriented.primitive_classes()
+        assert len(classes) == 4
+        for i, entry in enumerate(unoriented.entries):
+            assert classes[2 * i] is entry
+            mirror = classes[2 * i + 1]
+            assert type(mirror) is GeodesicEntry
+            assert mirror == GeodesicEntry(entry.length, math.fmod(TWO_PI - entry.angle, TWO_PI),
+                                           entry.spin_sign, entry.multiplicity)
+        assert abs(classes[1].angle - (TWO_PI - 0.4)) < 1e-15
+        assert classes[1].spin_sign == 1
+        assert classes[3].spin_sign == -1
+
+    def test_mirror_of_angle_zero_is_angle_zero(self):
+        spec = LengthSpectrum.build([GeodesicEntry(1.0, 0.0, -1, 3)], 10.0, oriented=False)
+        assert spec.primitive_classes() == (spec.entries[0], spec.entries[0])
 
     def test_power_budget(self):
         # the unoriented mirror pair counts twice; the message names the entry
@@ -148,8 +161,9 @@ class TestPowers:
             [GeodesicEntry(l, a, s, 1) for l, a, s in triples], 10.0)
         big = powers_up_to(spec, hi)
         small = powers_up_to(spec, lo)
-        prefix = [p for p in big if p.m <= int(math.floor(lo / p.base_length + 1e-12))]
-        assert list(small) == prefix
+        prefix = big.m <= np.floor(lo / big.base_length + 1e-12)
+        for f in dataclasses.fields(small):
+            assert getattr(small, f.name).tolist() == getattr(big, f.name)[prefix].tolist()
 
 
 class TestTailBound:
@@ -190,8 +204,10 @@ class TestTailBound:
         deep = powers_up_to(spec, 400.0)
         for a in (2.5, 3.0, 4.0, 6.0):
             for l_cut in (5.0, 10.0, 20.0):
-                actual = sum(p.multiplicity / p.m * math.exp(-a * p.length)
-                             for p in deep if p.length > l_cut)
+                actual = sum(mult / m * math.exp(-a * length)
+                             for mult, m, length in zip(deep.multiplicity.tolist(),
+                                                        deep.m.tolist(), deep.length.tolist())
+                             if length > l_cut)
                 assert tail_bound(spec, a, l_cut, growth) >= actual
 
     def test_fit_is_heuristic(self, small_spec):
