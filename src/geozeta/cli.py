@@ -3,9 +3,10 @@ batteries, torsion prediction, and heat traces, all as machine-readable JSON.
 
 Exit-status contract, stable across commands: 0 success / verification pass,
 1 verification failure, 2 input or usage error.  Outputs are byte-identical
-for identical inputs: every dict is built in a fixed key order, floats print
-in shortest round-trip form, and every computation runs in one fixed
-sequence.  ``verify`` reads its checks from the identity registry
+for identical inputs: a report is its dataclass written field by field in
+declaration order (the dataclass is its only schema), floats print in
+shortest round-trip form, and every computation runs in one fixed sequence.
+``verify`` reads its checks from the identity registry
 (``identities.IDENTITIES``).  Report rendering is data-only (JSON); plotting
 is out of scope.
 
@@ -20,13 +21,14 @@ wrapper ``run`` live in ``entry`` and are shared.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from .entry import (EXIT_OK, ArgumentParser, CliError, _load_invariants, _load_spectrum,
-                    common, run, validate_arguments)
+                    input_options, run, validate_arguments)
 from .heattrace import heat_trace_geometric, small_time_fit
 from .identities import IDENTITIES, battery_reports, predict_torsion_ratio, run_identity
 from .spectrum import LengthSpectrum
@@ -44,9 +46,14 @@ GRID_POINTS_MAX = 10_000
 
 
 def _strict(obj):
-    # reports are strict JSON: non-finite floats become null, the flags say why
+    # reports are strict JSON: a dataclass is its fields in declaration order, a
+    # complex is [re, im], and non-finite floats become null (the flags say why)
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
+    if isinstance(obj, complex):
+        return [_strict(obj.real), _strict(obj.imag)]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _strict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {key: _strict(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -79,7 +86,7 @@ def _params(args, spec: LengthSpectrum) -> EvalParams:
         raise CliError(
             f"l_cut {l_cut} exceeds the spectrum's completeness cutoff {spec.l_max}; "
             "pass --allow-incomplete to proceed with flagged results")
-    return EvalParams(l_cut, args.tol)
+    return EvalParams(l_cut)
 
 
 def _grid_points(args) -> list[complex]:
@@ -179,11 +186,11 @@ def cmd_eval(args) -> int:
         return EXIT_OK
     doc = [
         {
-            "s": [s.real, s.imag],
-            "value": [zv.value.real, zv.value.imag],
+            "s": s,
+            "value": zv.value,
             "abs_error_bound": zv.abs_error_bound,
             "in_convergence_domain": zv.in_convergence_domain,
-            "flags": list(zv.flags),
+            "flags": zv.flags,
         }
         for s, zv in zip(points, values)
     ]
@@ -203,6 +210,8 @@ def _identity_param(args, name: str):
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
     entries = list(IDENTITIES.values()) if args.identity == "all" else [IDENTITIES[args.identity]]
     spec = inv = p = None
     if any(entry.needs_spectrum for entry in entries):
@@ -213,21 +222,21 @@ def cmd_verify(args) -> int:
         raise CliError("this identity needs --invariants")
     if args.identity == "all":
         reports = battery_reports(spec, inv, p=p, tol=args.tol)
-        doc = {"passed": all(r.passed for r in reports),
-               "reports": [r.to_json_dict() for r in reports]}
+        passed = all(r.passed for r in reports)
+        doc = {"passed": passed, "reports": reports}
     else:
         params = {name: _identity_param(args, name) for name in entries[0].params}
-        doc = run_identity(args.identity, spec, inv, p, args.tol, **params).to_json_dict()
+        doc = run_identity(args.identity, spec, inv, p, args.tol, **params)
+        passed = doc.passed
     _emit(doc, args.output)
-    return EXIT_OK if doc["passed"] else EXIT_VERIFY_FAIL
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def cmd_predict_torsion(args) -> int:
     spec = _load_spectrum(args)
     inv = _load_invariants(args)
     p = _params(args, spec)
-    prediction = predict_torsion_ratio(spec, inv, args.n, args.parity, p)
-    _emit(prediction.to_json_dict(), args.output)
+    _emit(predict_torsion_ratio(spec, inv, args.n, args.parity, p), args.output)
     return EXIT_OK
 
 
@@ -244,19 +253,20 @@ def cmd_heat_trace(args) -> int:
         raise CliError("heat-trace needs --t (or --fit with an optional --t-grid)")
     if not math.isfinite(args.t):
         raise CliError(f"--t must be finite and positive, got {args.t!r}")
-    result = heat_trace_geometric(spec, inv, args.m, args.p, args.t, p)
-    _emit({
-        "t": result.t,
-        "identity_term": result.identity_term,
-        "hyperbolic_term": [result.hyperbolic_term.real, result.hyperbolic_term.imag],
-        "total": [result.total.real, result.total.imag],
-        "truncation_flag": result.truncation_flag,
-        "tail_bound": result.tail_bound,
-    }, args.output)
+    _emit(heat_trace_geometric(spec, inv, args.m, args.p, args.t, p), args.output)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+def _evaluating_options(sp) -> None:
+    """Add the options of every evaluating command: report file and cutoff."""
+    sp.add_argument("--output", default=None, help="write the report here instead of stdout")
+    sp.add_argument("--l-cut", type=float, default=None,
+                    help="truncation cutoff (default: the spectrum's l_max)")
+    sp.add_argument("--allow-incomplete", action="store_true",
+                    help="permit l_cut beyond l_max (results flagged)")
+
 
 def build_parser() -> ArgumentParser:
     parser = ArgumentParser(
@@ -269,7 +279,8 @@ def build_parser() -> ArgumentParser:
     validate_arguments(sp)
 
     sp = sub.add_parser("eval", help="evaluate one zeta object on a point or grid")
-    common(sp, invariants=False)
+    input_options(sp, invariants=False)
+    _evaluating_options(sp)
     sp.add_argument("--kind", required=True, choices=EVAL_KINDS)
     sp.add_argument("--k", type=int, default=None, help="character weight")
     sp.add_argument("--m", type=int, default=None, help="symmetric-power index")
@@ -283,7 +294,9 @@ def build_parser() -> ArgumentParser:
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("verify", help="run an identity check or the whole battery")
-    common(sp, spectrum_required=False)  # exact-oracle / reflect-involution are self-contained
+    input_options(sp, spectrum_required=False)  # exact-oracle, reflect-involution read none
+    _evaluating_options(sp)
+    sp.add_argument("--tol", type=float, default=1e-8, help="pass tolerance of each identity")
     sp.add_argument("--identity", required=True, choices=IDENTITY_CHOICES)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--k", type=int, default=0)
@@ -300,13 +313,15 @@ def build_parser() -> ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("predict-torsion", help="assemble the torsion-ratio prediction")
-    common(sp)
+    input_options(sp)
+    _evaluating_options(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--parity", required=True, choices=("even", "odd"))
     sp.set_defaults(fn=cmd_predict_torsion)
 
     sp = sub.add_parser("heat-trace", help="geometric heat-trace values and small-time fits")
-    common(sp)
+    input_options(sp)
+    _evaluating_options(sp)
     sp.add_argument("--m", type=int, default=0, help="symmetric-power index")
     sp.add_argument("--p", type=int, default=0, choices=(0, 1), help="form degree")
     sp.add_argument("--t", type=float, default=None)

@@ -8,16 +8,15 @@ numpy nor any evaluator module and costs little more than the interpreter's
 own start-up.  Every other command goes to ``cli.main``, which imports them
 all.
 
-What both routes share lives here: the input loaders, the options common to
-every command, ``cmd_validate`` and ``run`` (the ``--tol`` check and the
-mapping of input errors to one line and exit status 2), so a ``validate``
-run prints the same bytes and exits with the same status either way.
+What both routes share lives here: the input loaders, the input options
+every command takes, ``cmd_validate`` and ``run`` (the mapping of input
+errors to one line and exit status 2), so a ``validate`` run prints the same
+bytes and exits with the same status either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -83,23 +82,16 @@ def _load_invariants(args, required: bool = True,
         raise CliError(f"{name}: {exc}") from None
 
 
-def common(sp, spectrum=True, invariants=True, spectrum_required=True) -> None:
-    """Add the input, output and tolerance options every command takes."""
-    if spectrum:
-        sp.add_argument("--spectrum", required=spectrum_required,
-                        help="spectrum JSON (or CSV with --l-max)")
-        sp.add_argument("--l-max", type=float, default=None,
-                        help="completeness cutoff for CSV spectra")
-        sp.add_argument("--unoriented", action="store_true",
-                        help="treat a CSV spectrum as unoriented")
+def input_options(sp, invariants=True, spectrum_required=True) -> None:
+    """Add the input options: the spectrum file, how to read a CSV one, invariants."""
+    sp.add_argument("--spectrum", required=spectrum_required,
+                    help="spectrum JSON (or CSV with --l-max)")
+    sp.add_argument("--l-max", type=float, default=None,
+                    help="completeness cutoff for CSV spectra")
+    sp.add_argument("--unoriented", action="store_true",
+                    help="treat a CSV spectrum as unoriented")
     if invariants:
         sp.add_argument("--invariants", default=None, help="invariants JSON file")
-    sp.add_argument("--output", default=None, help="write JSON here instead of stdout")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--l-cut", type=float, default=None,
-                    help="truncation cutoff (default: the spectrum's l_max)")
-    sp.add_argument("--allow-incomplete", action="store_true",
-                    help="permit l_cut beyond l_max (results flagged)")
 
 
 def cmd_validate(args) -> int:
@@ -138,7 +130,7 @@ def cmd_validate(args) -> int:
 
 def validate_arguments(sp) -> None:
     """Set up the ``validate`` (sub)parser ``sp``."""
-    common(sp)
+    input_options(sp)
     sp.add_argument("--require-eta", default=None,
                     help="comma-separated eta weights that must be present")
     sp.set_defaults(fn=cmd_validate)
@@ -147,8 +139,6 @@ def validate_arguments(sp) -> None:
 def run(args) -> int:
     """Run the parsed command; an input or usage error prints one line and exits 2."""
     try:
-        if not 0 < args.tol < math.inf:
-            raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
         return args.fn(args)
     except (CliError, ValueError) as exc:
         # SpectrumError, DomainError and EtaNotSuppliedError are ValueErrors

@@ -24,8 +24,8 @@ import numpy as np
 
 from .continuation import ManifoldInvariants
 from .numerics import fsum_complex
-from .spectrum import DomainError, GrowthModel, LengthSpectrum, PowerTable, powers_up_to
-from .zeta import EvalParams
+from .spectrum import DomainError, LengthSpectrum, PowerTable, powers_up_to
+from .zeta import EvalParams, _growth_for
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -87,7 +87,7 @@ def heat_trace_geometric(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
     hyper = fsum_complex(table.multiplicity * table.base_length * _trace_rho(table, m)
                          / (np.exp(table.length) * table.denominator)
                          * weight * gauss * np.exp(-table.length ** 2 / (4.0 * t)))
-    growth = params.growth if params.growth is not None else GrowthModel.fit(spec)
+    growth = _growth_for(spec, params)
     # every omitted power has length > l_cut, so its wave factor is below
     # gauss * e^(-l_cut^2 / 4t); the count comes from the growth envelope
     tail = gauss * math.exp(-params.l_cut ** 2 / (4.0 * t)) * growth.constant \

@@ -105,20 +105,6 @@ class IdentityReport:
     points: tuple[GridPoint, ...]
     flags: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "points": [
-                {"s": [pt.s.real, pt.s.imag], "residual": pt.residual,
-                 "flags": list(pt.flags)}
-                for pt in self.points
-            ],
-            "flags": list(self.flags),
-        }
-
 
 def _run_grid(identity_id: str, grid, point_fn, tol: float,
               flags: tuple[str, ...] = (), re_min: float | None = None) -> IdentityReport:
@@ -268,7 +254,7 @@ def selberg_rho_bruteforce(spec: LengthSpectrum, m: int, k: int, s: complex,
 def verify_ruelle_decomposition(spec: LengthSpectrum, m: int, grid=None,
                                 p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
     """Twisted Ruelle zeta: determinant oracle vs. the weight-decomposition product."""
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
@@ -282,7 +268,7 @@ def verify_ruelle_decomposition(spec: LengthSpectrum, m: int, grid=None,
 def verify_selberg_rho_decomposition(spec: LengthSpectrum, m: int, k: int = 0, grid=None,
                                      p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
     """Twisted Selberg zeta: brute-force double product vs. the shifted-weight product."""
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
@@ -296,7 +282,7 @@ def verify_selberg_rho_decomposition(spec: LengthSpectrum, m: int, k: int = 0, g
 def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                                  p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
     """R_rho_m as the four-Selberg quotient with arguments shifted by m/2."""
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
@@ -313,7 +299,7 @@ def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
 def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                                 p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
     """R_rho_m as a quotient of four twisted Selberg zetas at weight 0 and +-2."""
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
@@ -331,7 +317,7 @@ def verify_zograf_ratio(spec: LengthSpectrum, n: int, parity: str, grid=None,
                         p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
     """Zograf product: direct k-truncation vs. the two-Selberg ratio form, on
     Re(s) > 2 - n (even) or 3/2 - n (odd), where both converge."""
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     if parity == "even":
         grid = grid if grid is not None else default_grid(3.0 - n)
         evaluator, re_min = zograf_F, 2.0 - n
@@ -355,7 +341,7 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
 
     The Zograf side uses the direct k-product so the two routes stay independent.
     """
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     if parity == "even":
         m = 2 * (n - 1)
         grid = grid if grid is not None else default_grid(n + 2.0)
@@ -407,7 +393,7 @@ def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvaria
     dim(V_rho) = m + 1.  The grid must keep every reflected argument clear of
     the strip, which the Re(s) > 2 + m/2 precondition guarantees.
     """
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
     dim = m + 1
 
@@ -432,7 +418,7 @@ def verify_det_chain(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, grid
     expressions from the one in the chain factor, so tests can confirm a
     mismatched volume is actually detected; by default both come from ``inv``.
     """
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     grid = grid if grid is not None else default_grid(3.5 + m / 2)
     dim = m + 1
     v_det = inv.volume if det_volume is None else det_volume
@@ -508,16 +494,6 @@ class TorsionPrediction:
     theta: float
     f_or_g: complex
     complex_volume: ComplexVolume
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "parity": self.parity,
-            "value": [self.value.real, self.value.imag],
-            "theta": self.theta,
-            "f_or_g": [self.f_or_g.real, self.f_or_g.imag],
-            "complex_volume": {"re": self.complex_volume.re, "im": self.complex_volume.im},
-        }
 
 
 def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
@@ -740,6 +716,6 @@ def battery_reports(spec: LengthSpectrum, inv: ManifoldInvariants,
                     p: EvalParams | None = None, tol: float = 1e-8) -> list[IdentityReport]:
     """The default verification battery: every registered check over its
     battery parameters, in registry order, the exact oracle last."""
-    p = p or EvalParams.for_spectrum(spec, tol=tol)
+    p = p or EvalParams.for_spectrum(spec)
     return [run_identity(identity_id, spec, inv, p, tol, **params)
             for identity_id, entry in IDENTITIES.items() for params in entry.battery]

@@ -7,8 +7,10 @@ in [0, 2*pi), the sign of the chosen SL(2,C) lift (the branch that makes the
 half-angle characters of odd weight well defined), and the number of primitive
 conjugacy classes sharing this data.  An unoriented spectrum stores one entry
 per geodesic pair {gamma, gamma^-1}, with the canonical representative's angle
-in [0, pi]; every consumer then adds the mirror class with angle 2*pi - theta
-and the same lift sign.
+in [0, pi]; every consumer then adds the mirror class (2*pi - theta, same
+lift sign), reduced to [0, 2*pi) as ``power_holonomy`` reduces a power: a turn
+of 2*pi flips the lift sign, so the mirror of (0, s) is (0, -s).  An input
+angle outside [0, 2*pi) is reduced by the same rule.
 
 ``GeodesicEntry`` is the one row type for an entry, an expanded class (whose
 index is its position in the expanded list) and a single power; the power
@@ -148,16 +150,23 @@ def _expanded_classes(spec: LengthSpectrum) -> tuple[GeodesicEntry, ...]:
         return spec.entries
     out: list[GeodesicEntry] = []
     for e in spec.entries:
-        mirror_angle = math.fmod(TWO_PI - e.angle, TWO_PI)
-        out += (e, GeodesicEntry(e.length, mirror_angle, e.spin_sign, e.multiplicity))
+        mirror = power_holonomy(e.length, TWO_PI - e.angle, e.spin_sign, 1)
+        out += (e, GeodesicEntry(*mirror, e.multiplicity))
     return tuple(out)
 
 
 def power_holonomy(length: float, angle: float, spin_sign: int, m: int) -> tuple[float, float, int]:
-    """(length, angle, spin) of the m-th power, with the exact branch correction."""
+    """(length, angle, spin) of the m-th power, with the exact branch correction.
+
+    The total angle m * angle is reduced to [0, 2*pi), and each turn of 2*pi
+    taken off (or, for a negative total, added) flips the lift sign.
+    """
     total = m * angle
     red = math.fmod(total, TWO_PI)
     wraps = int(round((total - red) / TWO_PI))
+    if red < 0.0:  # a negative total: one turn fewer
+        red += TWO_PI
+        wraps -= 1
     if red >= TWO_PI:  # guard against fmod landing on the divisor through rounding
         red -= TWO_PI
         wraps += 1
@@ -223,11 +232,16 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     # vectorized power_holonomy over every (class, m), then the global sort
     import numpy as np
 
-    classes = _expanded_classes(spec)
-    base_length = np.array([c.length for c in classes], dtype=float)
-    base_theta = np.array([c.angle for c in classes], dtype=float)
-    base_spin = np.array([c.spin_sign for c in classes], dtype=np.int64)
-    mult = np.array([c.multiplicity for c in classes], dtype=np.int64)
+    entries = spec.entries
+    base_length = np.array([e.length for e in entries], dtype=float)
+    base_theta = np.array([e.angle for e in entries], dtype=float)
+    base_spin = np.array([e.spin_sign for e in entries], dtype=np.int64)
+    mult = np.array([e.multiplicity for e in entries], dtype=np.int64)
+    if not spec.oriented:
+        # class 2i is entry i and class 2i + 1 its mirror (2*pi - theta, same
+        # sign), left unreduced: the powers below reduce it with the lift
+        base_length, base_spin, mult = (np.repeat(c, 2) for c in (base_length, base_spin, mult))
+        base_theta = np.column_stack((base_theta, TWO_PI - base_theta)).ravel()
     m_top = np.floor(l_cut / base_length + 1e-12)
     total = float(m_top.sum())
     if not total <= POWER_BUDGET:
@@ -238,7 +252,7 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
             f"{POWER_BUDGET}; entries[{entry}] (length {float(base_length[worst])!r}) needs "
             f"{m_top[worst]:.0f} of them")
     m_top = m_top.astype(np.int64)
-    base = np.repeat(np.arange(len(classes), dtype=np.int64), m_top)
+    base = np.repeat(np.arange(len(base_length), dtype=np.int64), m_top)
     starts = np.repeat(np.cumsum(m_top) - m_top, m_top)
     m = np.arange(len(base), dtype=np.int64) - starts + 1
     total = m * base_theta[base]
@@ -377,19 +391,10 @@ def tail_bound(spec: LengthSpectrum, re_s_effective: float, l_cut: float,
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _normalize_angle(angle: float) -> float:
-    a = math.fmod(angle, TWO_PI)
-    if a < 0.0:
-        a += TWO_PI
-    if a >= TWO_PI:
-        a = 0.0
-    return a
-
-
 def _entry_from_fields(where: str, length, angle, spin_sign, multiplicity) -> GeodesicEntry:
     try:
         length_f = float(length)
-        angle_f = _normalize_angle(float(angle))
+        angle_f = float(angle)
         spin_f = float(spin_sign)
         mult_f = float(multiplicity)
     except (TypeError, ValueError) as exc:
@@ -400,8 +405,15 @@ def _entry_from_fields(where: str, length, angle, spin_sign, multiplicity) -> Ge
         raise SpectrumError(f"{where}: spin_sign must be +1 or -1, got {spin_sign!r}")
     if not (math.isfinite(mult_f) and mult_f == int(mult_f)):
         raise SpectrumError(f"{where}: multiplicity must be an integer, got {multiplicity!r}")
+    spin = int(spin_f)
+    if math.isfinite(angle_f):
+        # reduced with its lift, as a power's angle is: each turn flips the
+        # sign (a sign other than +1 or -1 is reported as given)
+        _, angle_f, turn = power_holonomy(length_f, angle_f, 1, 1)
+        if spin in (1, -1):
+            spin *= turn
     try:
-        return GeodesicEntry(length_f, angle_f, int(spin_f), int(mult_f))
+        return GeodesicEntry(length_f, angle_f, spin, int(mult_f))
     except SpectrumError as exc:
         raise SpectrumError(f"{where}: {exc}") from None
 
@@ -409,9 +421,10 @@ def _entry_from_fields(where: str, length, angle, spin_sign, multiplicity) -> Ge
 def parse_spectrum(text: str) -> LengthSpectrum:
     """Parse the canonical JSON spectrum document.
 
-    Entries are normalized (angles reduced to [0, 2*pi), sorted ascending by
-    length).  Duplicate (length, angle, spin_sign) triples are rejected: the
-    producer must merge them via multiplicity.
+    Entries are normalized (angles reduced to [0, 2*pi) with their lift
+    signs, as ``power_holonomy`` reduces them; sorted ascending by length).
+    Duplicate (length, angle, spin_sign) triples are rejected: the producer
+    must merge them via multiplicity.
     """
     try:
         doc = json.loads(text)

@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import fsum_complex, fsum_real, fsum_rows
-from .spectrum import GrowthModel, LengthSpectrum, PowerTable, powers_up_to, tail_bound
+from .spectrum import (DomainError, GrowthModel, LengthSpectrum, PowerTable, powers_up_to,
+                       tail_bound)
 
 FLAG_FORMAL = "formal-truncation"
 FLAG_INCOMPLETE = "incomplete-spectrum"
@@ -62,22 +63,19 @@ class ZetaValue:
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Truncation cutoff, target tolerance, and growth model for tail bounds."""
+    """Truncation cutoff and growth model for tail bounds."""
 
     l_cut: float
-    tol: float = 1e-8
     growth: GrowthModel | None = None
 
     def __post_init__(self) -> None:
         if not self.l_cut > 0:
             raise ValueError(f"l_cut must be positive, got {self.l_cut!r}")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
     @classmethod
     def for_spectrum(cls, spec: LengthSpectrum, l_cut: float | None = None,
-                     tol: float = 1e-8, growth: GrowthModel | None = None) -> "EvalParams":
-        return cls(spec.l_max if l_cut is None else l_cut, tol, growth)
+                     growth: GrowthModel | None = None) -> "EvalParams":
+        return cls(spec.l_max if l_cut is None else l_cut, growth)
 
 
 def _growth_for(spec: LengthSpectrum, p: EvalParams) -> GrowthModel:
@@ -116,19 +114,16 @@ def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
 def _selberg_prefactor(spec: LengthSpectrum) -> float:
     """Bound on 1/|(1-e^-m(l+it))(1-e^-m(l-it))| over all classes and powers:
     each factor is at least 1 - e^-ml, least at the shortest length and m = 1."""
-    return (1.0 - math.exp(-spec.min_length())) ** -2
-
-
-def _sigma_terms(table: PowerTable, k: int, s: complex) -> np.ndarray:
-    # per power: -(multiplicity/m) sigma_k(power) e^(-s L), sigma_k as in chars.sigma_char
-    chi = np.exp(0.5j * k * table.angle)
-    if k % 2:
-        chi = table.spin_sign * chi
-    return -table.weight * chi * np.exp(-s * table.length)
+    gap = 1.0 - math.exp(-spec.min_length())
+    if gap == 0.0:
+        raise DomainError(f"shortest length {spec.min_length()!r} is too small for the "
+                          "Selberg tail bound: 1 - e^-l rounds to 0")
+    return gap ** -2
 
 
 def _sigma_block(table: PowerTable, ks: list[int], ss: list[complex]) -> np.ndarray:
-    # row i is _sigma_terms(table, ks[i], ss[i]), by the same operations in the same order
+    # row i holds, per power, -(multiplicity/m) sigma_{ks[i]}(power) e^(-ss[i] L),
+    # sigma_k as in chars.sigma_char
     chi = np.exp(np.array([0.5j * k for k in ks])[:, None] * table.angle)
     odd = np.array([k % 2 == 1 for k in ks])
     chi[odd] = table.spin_sign * chi[odd]
@@ -142,7 +137,7 @@ def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Zet
     global enumeration, so each (class, m) contributes -sigma_k(power) e^(-s L) / m.
     """
     s = complex(s)
-    log_value = fsum_complex(_sigma_terms(powers_up_to(spec, p.l_cut), k, s))
+    log_value = fsum_complex(_sigma_block(powers_up_to(spec, p.l_cut), [k], [s])[0])
     return _finish(spec, p, log_value, s.real, s.real > 2.0)
 
 
@@ -154,7 +149,7 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
     """
     s = complex(s)
     table = powers_up_to(spec, p.l_cut)
-    log_value = fsum_complex(_sigma_terms(table, k, s) / table.denominator)
+    log_value = fsum_complex(_sigma_block(table, [k], [s])[0] / table.denominator)
     return _finish(spec, p, log_value, s.real, s.real > 2.0,
                    prefactor=_selberg_prefactor(spec) if spec.entries else 1.0)
 

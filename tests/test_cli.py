@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -5,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from geozeta import exact, fixtures, identities, spectrum, zeta
-from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, _emit, main
+from geozeta import entry, exact, fixtures, identities, spectrum, zeta
+from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, _emit, _strict, build_parser, main
 from geozeta.continuation import serialize_invariants
-from geozeta.identities import IDENTITIES, verify_ruelle_decomposition
+from geozeta.heattrace import heat_trace_geometric
+from geozeta.identities import IDENTITIES, predict_torsion_ratio, verify_ruelle_decomposition
 from geozeta.spectrum import serialize_spectrum
 
 EMPTY_DOC = json.dumps({"label": "empty", "oriented": True, "l_max": 1.0, "entries": []})
@@ -320,9 +322,14 @@ def test_l_cut_beyond_l_max_needs_flag(spec_file, capsys):
     (["verify", "--identity", "exact-oracle"], False),
 ], ids=["eval", "spectrum-identity", "reflect-involution", "exact-oracle"])
 def test_tol_must_be_finite_and_positive(spec_file, capsys, argv, with_spectrum, tol):
+    # --tol is verify's pass tolerance alone: eval refuses it as an unknown option
     if with_spectrum:
         argv = [*argv, "--spectrum", spec_file]
-    assert main([*argv, f"--tol={tol}"]) == 2
+    try:
+        code = main([*argv, f"--tol={tol}"])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert "--tol" in err and len(err.strip().splitlines()) == 1
 
@@ -345,6 +352,19 @@ def test_power_budget_refuses_before_allocating(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "power budget" in err and "12000000" in err and "entries[0]" in err
     assert peak < 10_000_000  # the table would take about 0.8 GB
+
+
+def test_shortest_length_too_small_for_the_selberg_bound(tmp_path, capsys):
+    # 1 - e^-l rounds to 0 for a class of length 1e-300; l_cut 1e-301 keeps
+    # the power table empty, so only the tail bound's prefactor sees it
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps({"l_max": 1.0, "entries": [
+        {"length": 1e-300, "angle": 0.5, "spin_sign": 1, "multiplicity": 1}]}))
+    assert entry.main(["eval", "--spectrum", str(spec), "--kind", "selberg-sigma", "--k", "0",
+                       "--s", "3", "--l-cut", "1e-301"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "shortest length 1e-300" in err
 
 
 def test_vanishing_determinant_names_the_class(tmp_path):
@@ -395,7 +415,7 @@ def test_reports_are_strict_json(tmp_path, spec_file, small_spec):
     assert doc[0]["abs_error_bound"] is None
     assert "formal-truncation" in doc[0]["flags"]
     # a grid point outside the half-plane errors: its residual is NaN
-    _emit(verify_ruelle_decomposition(small_spec, 0, grid=[1.0]).to_json_dict(), str(out))
+    _emit(verify_ruelle_decomposition(small_spec, 0, grid=[1.0]), str(out))
     doc = strict_loads(out.read_text())
     assert all(pt["residual"] is None for pt in doc["points"])
     assert all(pt["flags"][0].startswith("error: ") for pt in doc["points"])
@@ -436,3 +456,47 @@ def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path):
         assert runs[0] == runs[1]
     for cache in (identities._newton_coefficients, exact._denominators, spectrum._power_table):
         assert cache.cache_info().hits > 0
+
+
+def test_report_keys_are_the_dataclass_fields(small_spec, invariants):
+    # a report is its dataclass written field by field: a new field changes
+    # the schema, so these key lists pin it (IdentityReport's are pinned in
+    # test_identities.py::test_report_json_shape)
+    prediction = _strict(predict_torsion_ratio(small_spec, invariants, 3, "even"))
+    assert list(prediction) == ["n", "parity", "value", "theta", "f_or_g", "complex_volume"]
+    assert list(prediction["complex_volume"]) == ["re", "im"]
+    assert len(prediction["value"]) == len(prediction["f_or_g"]) == 2
+    heat = _strict(heat_trace_geometric(small_spec, invariants, 1, 0, 0.5))
+    assert list(heat) == ["t", "identity_term", "hyperbolic_term", "total", "truncation_flag",
+                          "tail_bound"]
+    assert len(heat["hyperbolic_term"]) == len(heat["total"]) == 2
+    assert _strict(complex(math.inf, 1.0)) == [None, 1.0]
+
+
+INPUT_OPTIONS = {"--spectrum", "--l-max", "--unoriented", "--invariants"}
+EVALUATING_OPTIONS = {"--output", "--l-cut", "--allow-incomplete"}
+COMMAND_OPTIONS = {
+    "validate": INPUT_OPTIONS | {"--require-eta"},
+    "eval": INPUT_OPTIONS - {"--invariants"} | EVALUATING_OPTIONS
+    | {"--kind", "--k", "--m", "--n", "--s", "--grid", "--method", "--csv"},
+    "verify": INPUT_OPTIONS | EVALUATING_OPTIONS
+    | {"--tol", "--identity", "--m", "--k", "--n", "--parity", "--samples",
+       "--claimed-invariants", "--reference-spectrum"},
+    "predict-torsion": INPUT_OPTIONS | EVALUATING_OPTIONS | {"--n", "--parity"},
+    "heat-trace": INPUT_OPTIONS | EVALUATING_OPTIONS | {"--m", "--p", "--t", "--t-grid", "--fit"},
+}
+
+
+def _options(parser) -> set[str]:
+    return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {command: _options(parser) for command, parser in sub.choices.items()} \
+        == COMMAND_OPTIONS
+    assert [len(options) for options in COMMAND_OPTIONS.values()] == [5, 14, 16, 9, 12]
+    # the validate parser entry.main builds without this module takes the same
+    validate = entry.ArgumentParser(prog="geozeta validate")
+    entry.validate_arguments(validate)
+    assert _options(validate) == COMMAND_OPTIONS["validate"]

@@ -103,7 +103,7 @@ def _validate_cases(tmp_path):
         "malformed-spectrum": ["--spectrum", str(bad)],
         "missing-eta": ["--spectrum", SPECTRA[0], "--invariants", str(no_eta),
                         "--require-eta", "1,2"],
-        "tol-nan": [*good, "--tol", "nan"],
+        "removed-option": [*good, "--tol", "nan"],
         "unrecognized": [*good, "extra"],
         "help": ["-h"],
     }
@@ -135,7 +135,7 @@ USAGE_ERRORS = {
     "validate-unknown": ["validate", "--spectrum", SPECTRA[0], "--bogus"],
     "validate-line-break": ["validate", "--spectrum", SPECTRA[0], "a\nb"],
     "eval-int": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--n", "x"],
-    "eval-float": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--tol", "x"],
+    "eval-float": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--l-cut", "x"],
     "eval-choice": ["eval", "--spectrum", SPECTRA[0], "--kind", "nope"],
     "eval-missing": ["eval", "--spectrum", SPECTRA[0]],
     "eval-unknown": ["eval", "--spectrum", SPECTRA[0], "--kind", "F", "--bogus", "1"],
@@ -147,7 +147,7 @@ USAGE_ERRORS = {
     "predict-int": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "x",
                     "--parity", "even"],
     "predict-float": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3",
-                      "--parity", "even", "--tol", "x"],
+                      "--parity", "even", "--l-cut", "x"],
     "predict-choice": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3",
                        "--parity", "nope"],
     "predict-missing": ["predict-torsion", "--spectrum", SPECTRA[0], "--n", "3"],

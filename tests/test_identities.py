@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from geozeta import identities
+from geozeta import identities, spectrum
+from geozeta.cli import _strict
 from geozeta.continuation import EtaNotSuppliedError, ManifoldInvariants
 from geozeta.exact import ExactCheckResult, GaussianRational, TermFailure, exact_battery
 from geozeta.identities import (IDENTITIES, _ruelle_reflected_log, battery_reports,
@@ -17,7 +18,7 @@ from geozeta.identities import (IDENTITIES, _ruelle_reflected_log, battery_repor
                                 verify_ruelle_decomposition,
                                 verify_ruelle_functional_equation,
                                 verify_selberg_rho_decomposition, verify_zograf_ratio)
-from geozeta.spectrum import DomainError, LengthSpectrum, flip_spins
+from geozeta.spectrum import TWO_PI, DomainError, GeodesicEntry, LengthSpectrum, flip_spins
 from geozeta.zeta import EvalParams, ruelle_rho, selberg_rho, selberg_sigma
 import scalar_reference
 
@@ -298,10 +299,11 @@ def test_relative_residual_floor():
 
 def test_report_json_shape(small_spec):
     report = verify_four_selberg_quotient(small_spec, 1)
-    doc = report.to_json_dict()
+    doc = _strict(report)
     assert list(doc) == ["identity_id", "tolerance", "passed", "max_residual",
                          "points", "flags"]
     assert len(doc["points"]) == len(default_grid(3.5))
+    assert all(list(pt) == ["s", "residual", "flags"] for pt in doc["points"])
     assert all(len(pt["s"]) == 2 for pt in doc["points"])
 
 
@@ -351,6 +353,35 @@ class TestNewtonOracle:
         monkeypatch.undo()
         cold_newton_cache.cache_clear()
         assert run_identity("prop-ruelle-dec", small_spec, None, m=2).passed
+
+
+# unoriented, with two angle-0 entries: each mirror is (0, flipped sign)
+ANGLE_ZERO = LengthSpectrum.build([GeodesicEntry(1.1, 0.0, 1, 1), GeodesicEntry(1.7, 0.0, -1, 2)],
+                                  12.0, oriented=False)
+
+
+class TestAngleZeroMirrors:
+    def test_battery_passes(self, invariants):
+        failed = [r.identity_id for r in battery_reports(ANGLE_ZERO, invariants) if not r.passed]
+        assert failed == []
+
+    @pytest.mark.parametrize("identity, params", [
+        ("prop-ruelle-dec", {"m": 1}), ("selberg-rho-dec", {"m": 1, "k": 0})])
+    def test_an_unflipped_mirror_fails_the_battery(self, monkeypatch, cold_newton_cache,
+                                                   identity, params):
+        # the oracles read the classes of spectrum._expanded_classes, the
+        # evaluators the power table, which builds its mirrors on its own
+        def unflipped(spec):
+            # the mirror as (fmod(2*pi - theta, 2*pi), same sign): at theta = 0
+            # a turn is taken off and the lift kept
+            return tuple(c for e in spec.entries for c in (e, GeodesicEntry(
+                e.length, math.fmod(TWO_PI - e.angle, TWO_PI), e.spin_sign, e.multiplicity)))
+
+        assert run_identity(identity, ANGLE_ZERO, None, **params).passed
+        monkeypatch.setattr(spectrum, "_expanded_classes", unflipped)
+        cold_newton_cache.cache_clear()
+        report = run_identity(identity, ANGLE_ZERO, None, **params)
+        assert not report.passed and report.max_residual > 1e-3
 
 
 class TestRegistry:

@@ -11,7 +11,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geozeta import spectrum as spectrum_module
@@ -30,13 +30,22 @@ SCALAR_COLUMNS = ("m", "length", "angle", "spin_sign", "multiplicity", "base_len
 
 
 def scalar_powers(spec, l_cut):
-    """The table's ``SCALAR_COLUMNS`` from one ``power_holonomy`` call per power."""
+    """The table's ``SCALAR_COLUMNS`` from one ``power_holonomy`` call per power.
+
+    Unoriented, class 2i is entry i and class 2i + 1 its mirror, whose powers
+    are those of the unreduced (2*pi - theta, same sign), as the table builds
+    them.
+    """
+    classes = [(e.length, e.angle, e.spin_sign, e.multiplicity) for e in spec.entries]
+    if not spec.oriented:
+        classes = [c for length, angle, sign, mult in classes
+                   for c in ((length, angle, sign, mult), (length, TWO_PI - angle, sign, mult))]
     rows = []
-    for index, cls in enumerate(spec.primitive_classes()):
-        m_top = int(math.floor(l_cut / cls.length + 1e-12))
+    for index, (base, theta, spin, mult) in enumerate(classes):
+        m_top = int(math.floor(l_cut / base + 1e-12))
         for m in range(1, m_top + 1):
-            length, angle, sign = power_holonomy(cls.length, cls.angle, cls.spin_sign, m)
-            rows.append((length, index, m, angle, sign, cls.multiplicity, cls.length))
+            length, angle, sign = power_holonomy(base, theta, spin, m)
+            rows.append((length, index, m, angle, sign, mult, base))
     rows.sort(key=lambda row: row[:3])
     length, _, m, angle, sign, mult, base = (list(c) for c in zip(*rows)) if rows else [[]] * 7
     return dict(zip(SCALAR_COLUMNS, (m, length, angle, sign, mult, base)))
@@ -91,6 +100,9 @@ angles = st.one_of(
 
 class TestTableMatchesScalarEnumeration:
     @settings(max_examples=80, deadline=None)
+    # an angle-0 mirror: a power of the unreduced 2*pi reduces to just below
+    # 2*pi, where the mirror reduced first would give 0.0
+    @example([(0.25, 0.0, 1, 1)], False, 3.0)
     @given(st.lists(st.tuples(st.floats(0.2, 3.0), angles, st.sampled_from([1, -1]),
                               st.integers(1, 3)),
                     max_size=8, unique_by=lambda t: t[0]),

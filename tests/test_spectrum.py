@@ -41,10 +41,23 @@ class TestParse:
         assert [e.length for e in spec.entries] == [0.5, 1.5]
 
     def test_angle_reduced(self):
+        # each turn of 2*pi taken off or added flips the lift sign
         spec = parse_spectrum(make_doc([entry(1.0, 7.0)]))
         assert abs(spec.entries[0].angle - (7.0 - TWO_PI)) < 1e-15
-        spec = parse_spectrum(make_doc([entry(1.0, -1.0)]))
+        assert spec.entries[0].spin_sign == -1
+        spec = parse_spectrum(make_doc([entry(1.0, -1.0, spin=-1)]))
         assert abs(spec.entries[0].angle - (TWO_PI - 1.0)) < 1e-15
+        assert spec.entries[0].spin_sign == 1
+        spec = parse_spectrum(make_doc([entry(1.0, 2 * TWO_PI + 0.5)]))
+        assert abs(spec.entries[0].angle - 0.5) < 1e-14
+        assert spec.entries[0].spin_sign == 1
+        spec = parse_spectrum_csv("length,angle,spin_sign,multiplicity\n1.0,7.0,-1,1\n", 2.0)
+        assert spec.entries[0].spin_sign == 1
+        # the reduced class is the one given: the same weight-1 character
+        for angle in (7.0, -1.0):
+            e = parse_spectrum(make_doc([entry(1.0, angle)])).entries[0]
+            assert cmath.isclose(e.spin_sign * cmath.exp(0.5j * e.angle),
+                                 cmath.exp(0.5j * angle), abs_tol=1e-15)
 
     def test_round_trip(self, medium_spec):
         again = parse_spectrum(serialize_spectrum(medium_spec))
@@ -115,15 +128,21 @@ class TestPowers:
             assert classes[2 * i] is entry
             mirror = classes[2 * i + 1]
             assert type(mirror) is GeodesicEntry
-            assert mirror == GeodesicEntry(entry.length, math.fmod(TWO_PI - entry.angle, TWO_PI),
-                                           entry.spin_sign, entry.multiplicity)
+            assert mirror == GeodesicEntry(
+                *power_holonomy(entry.length, TWO_PI - entry.angle, entry.spin_sign, 1),
+                entry.multiplicity)
         assert abs(classes[1].angle - (TWO_PI - 0.4)) < 1e-15
         assert classes[1].spin_sign == 1
         assert classes[3].spin_sign == -1
 
     def test_mirror_of_angle_zero_is_angle_zero(self):
+        # 2*pi - 0 takes one turn off, so the mirror's lift sign flips: the
+        # limit of the mirror (2*pi - theta, s) as theta -> 0+
         spec = LengthSpectrum.build([GeodesicEntry(1.0, 0.0, -1, 3)], 10.0, oriented=False)
-        assert spec.primitive_classes() == (spec.entries[0], spec.entries[0])
+        assert spec.primitive_classes() == (spec.entries[0], GeodesicEntry(1.0, 0.0, 1, 3))
+        table = powers_up_to(spec, 1.0)
+        assert table.angle.tolist() == [0.0, 0.0]
+        assert table.spin_sign.tolist() == [-1, 1]
 
     def test_power_budget(self):
         # the unoriented mirror pair counts twice; the message names the entry

@@ -16,14 +16,20 @@ EMPTY = LengthSpectrum((), 1.0)
 P_EMPTY = EvalParams(1.0)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
-def test_eval_params_refuse_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        EvalParams(1.0, tol)
-
-
 def single(length=1.0, angle=0.5, spin=1, l_max=40.0):
     return LengthSpectrum.build([GeodesicEntry(length, angle, spin, 1)], l_max)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_unoriented_odd_weight_is_continuous_at_angle_zero(k):
+    # the mirror of (theta, s) is (2*pi - theta, s); at theta = 0, or once
+    # 2*pi - theta rounds to 2*pi, its reduction must flip the lift
+    p = EvalParams(10.0)
+    for evaluate in (ruelle_sigma, selberg_sigma):
+        values = [evaluate(LengthSpectrum.build([GeodesicEntry(1.0, theta, 1, 1)], 10.0,
+                                                oriented=False), k, 3.0, p).value
+                  for theta in (0.0, 5e-324, 1e-12)]
+        assert max(abs(v - values[2]) for v in values) <= 1e-10 * abs(values[2])
 
 
 class TestEmptyProducts:
