@@ -5,7 +5,8 @@ Exit-status contract, stable across commands: 0 success / verification pass,
 1 verification failure, 2 input or usage error.  Outputs are byte-identical
 for identical inputs: a report is its dataclass written field by field in
 declaration order (the dataclass is its only schema), floats print in
-shortest round-trip form, and every computation runs in one fixed sequence.
+shortest round-trip form, and every check computes in one fixed sequence,
+whichever process of a two-process ``verify --identity all`` runs it.
 ``verify`` reads its checks from the identity registry
 (``identities.IDENTITIES``).  Report rendering is data-only (JSON); plotting
 is out of scope.
@@ -43,6 +44,9 @@ EVAL_KINDS = ("ruelle-sigma", "selberg-sigma", "ruelle-rho", "selberg-rho", "F",
 # Most points one ``eval --grid`` may ask for, refused before any is built.
 # The benchmark's largest grid has 80.
 GRID_POINTS_MAX = 10_000
+# Most samples ``verify --samples`` may ask for, refused before any is drawn.
+# The battery draws 1000.
+SAMPLES_MAX = 10_000
 
 
 def _strict(obj):
@@ -212,6 +216,8 @@ def _identity_param(args, name: str):
 def cmd_verify(args) -> int:
     if not 0 < args.tol < math.inf:
         raise CliError(f"--tol must be finite and positive, got {args.tol!r}")
+    if args.samples > SAMPLES_MAX:
+        raise CliError(f"--samples allows at most {SAMPLES_MAX}, got {args.samples}")
     entries = list(IDENTITIES.values()) if args.identity == "all" else [IDENTITIES[args.identity]]
     spec = inv = p = None
     if any(entry.needs_spectrum for entry in entries):

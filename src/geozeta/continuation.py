@@ -41,6 +41,10 @@ class EtaNotSuppliedError(ValueError):
         super().__init__(f"eta not supplied for weight k={k}")
         self.k = k
 
+    def __reduce__(self):
+        # rebuilt from k: the default would pass the message back in as k
+        return type(self), (self.k,)
+
 
 @dataclass(frozen=True)
 class ComplexVolume:

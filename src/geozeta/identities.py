@@ -25,6 +25,21 @@ these leaves are cached, and the polynomial is evaluated at every s afresh.
 Both oracles add their per-class logs with ``numerics.fsum_complex``, so
 their values do not depend on class order.
 
+``battery_reports`` runs the 27 battery checks on two processes where it can:
+when ``os.sched_getaffinity`` lists at least two CPUs and no other Python
+thread runs, it builds the power table and growth model every check reads,
+then forks one worker.  Both processes claim checks from one pipe holding
+one byte per battery index, written in reverse registry order so that the
+costliest check, the exact oracle, starts first.  The worker pickles its
+reports back through a second pipe and ends with ``os._exit``; it is killed
+when the caller ends (``PR_SET_PDEATHSIG``), and the caller reaps it on
+every path.  A check that raised in either process, and every check of a
+worker that died, then runs again in the caller, in registry order.  So no
+exception crosses the process boundary, the reports are the serial loop's
+and a failing battery raises the serial loop's exception: that of the first
+failing check in registry order.  Elsewhere, and for a single check, all
+runs in the calling process.
+
 A note on circularity: the special-value checks that need continuation
 (`main-theorem`, and `ruelle-feq`'s reflected side) consume the same volume
 and eta data on both sides, so on synthetic inputs they validate the
@@ -37,8 +52,13 @@ inputs when they want actual cross-checking of supplied data.
 from __future__ import annotations
 
 import cmath
+import ctypes
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -50,7 +70,8 @@ from .continuation import (ComplexVolume, EtaNotSuppliedError, ManifoldInvariant
                            eta_lookup, reflect_selberg, selberg_anywhere)
 from .exact import exact_battery
 from .numerics import fsum_complex, fsum_rows, log1m_array
-from .spectrum import DomainError, GeodesicEntry, LengthSpectrum, power_holonomy
+from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
+                       powers_up_to)
 from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
@@ -60,6 +81,8 @@ ORACLE_CHUNK = 2 ** 14
 # (spectrum, m) pairs whose Newton coefficients the determinant oracle keeps
 NEWTON_CACHE_SIZE = 128
 FLAG_CIRCULAR = "circular-given-functional-equation"
+# prctl option: the signal a process gets when its parent ends
+PR_SET_PDEATHSIG = 1
 
 
 def relative_residual(lhs: complex, rhs: complex) -> float:
@@ -145,11 +168,13 @@ def _newton_coefficients(spec: LengthSpectrum, m: int) -> tuple[tuple[complex, .
     identities.  They do not depend on s."""
     dim = m + 1
     out = []
-    for cls in spec.primitive_classes():
-        power_sums = []
-        for i in range(1, dim + 1):
-            power = GeodesicEntry(*power_holonomy(cls.length, cls.angle, cls.spin_sign, i))
-            power_sums.append(trace_rho(power, m))
+    for index, cls in enumerate(spec.primitive_classes()):
+        try:
+            power_sums = [trace_rho(GeodesicEntry(*power_holonomy(
+                cls.length, cls.angle, cls.spin_sign, i)), m) for i in range(1, dim + 1)]
+        except OverflowError:
+            raise DomainError(f"a trace of rho_{m} on a power of class {index} (length "
+                              f"{cls.length!r}, m {m}) overflows a double") from None
         elem = [1.0 + 0j]
         for j in range(1, dim + 1):
             total = 0j
@@ -712,10 +737,108 @@ def run_identity(identity_id: str, spec: LengthSpectrum | None,
     return entry.run(spec, inv, p, max(tol, entry.tol_floor), **params)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay serial
+        return 1
+
+
+def _claim(claims: int, run: Callable[[int], IdentityReport]) -> dict[int, IdentityReport]:
+    # run checks by the index bytes read from the shared claims pipe until it
+    # is empty; a check that raises is left out, to be run again serially
+    done = {}
+    while index := os.read(claims, 1):
+        try:
+            done[index[0]] = run(index[0])
+        except Exception:
+            pass
+    return done
+
+
+def _die_with_parent(parent: int) -> None:
+    # the worker is killed when the process that forked it ends, however it ends
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):  # no prctl here: only the check below remains
+        pass
+    else:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent ended before the request took effect
+        os._exit(1)
+
+
+def _split(count: int, run: Callable[[int], IdentityReport]) -> dict[int, IdentityReport]:
+    """Run checks 0..count-1 in this process and one forked worker, and return
+    the reports that came back, by index."""
+    claims, claims_in = os.pipe()
+    # one byte per index, costliest first: the exact oracle is last in the registry
+    os.write(claims_in, bytes(reversed(range(count))))
+    os.close(claims_in)
+    results, results_in = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: this one claims every check
+        pid = -1
+    if pid == 0:
+        # the worker never returns into the caller, flushes no inherited
+        # buffer and runs no exit handler
+        try:
+            _die_with_parent(parent)
+            os.close(results)
+            done = _claim(claims, run)
+            with os.fdopen(results_in, "wb") as out:
+                pickle.dump(done, out)
+        finally:
+            os._exit(0)
+    os.close(results_in)
+    try:
+        done = _claim(claims, run)
+        with os.fdopen(results, "rb", closefd=False) as worker:
+            sent = worker.read()
+    except BaseException:
+        if pid > 0:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        os.close(results)
+        if pid > 0:
+            os.waitpid(pid, 0)
+    try:
+        done.update(pickle.loads(sent))
+    except (EOFError, pickle.UnpicklingError):
+        pass  # the worker died before its reports were all sent
+    return done
+
+
 def battery_reports(spec: LengthSpectrum, inv: ManifoldInvariants,
                     p: EvalParams | None = None, tol: float = 1e-8) -> list[IdentityReport]:
     """The default verification battery: every registered check over its
-    battery parameters, in registry order, the exact oracle last."""
+    battery parameters, in registry order, the exact oracle last.
+
+    With two usable CPUs the checks are split between this process and one
+    forked worker (see the module docstring); the reports, and the exception
+    a failing battery raises, are those of the serial loop.
+    """
     p = p or EvalParams.for_spectrum(spec)
-    return [run_identity(identity_id, spec, inv, p, tol, **params)
+    jobs = [(identity_id, params)
             for identity_id, entry in IDENTITIES.items() for params in entry.battery]
+
+    def run(index: int) -> IdentityReport:
+        identity_id, params = jobs[index]
+        return run_identity(identity_id, spec, inv, p, tol, **params)
+
+    done = {}
+    # a lock held by another thread at the fork would stay held in the worker
+    if _usable_cpus() >= 2 and threading.active_count() == 1:
+        try:  # what every check reads, built once before the split
+            powers_up_to(spec, p.l_cut)
+            if p.growth is None:
+                GrowthModel.fit(spec)
+        except DomainError:
+            pass  # each check meets it at its own grid points
+        done = _split(len(jobs), run)
+    return [done[i] if i in done else run(i) for i in range(len(jobs))]

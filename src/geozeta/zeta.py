@@ -10,10 +10,20 @@ one numpy expression over its columns, summed correctly rounded
 depend on summation order.  The Selberg double product over (p, q) >= 0 is
 summed in closed form per power, so a single table drives every object.
 
+The Ruelle and Selberg sigma log series are pure functions of (spectrum,
+l_cut, k, s), and the identity checks ask for the same ones many times (a
+verify battery makes 928 such calls for 312 distinct series).  Each series
+is therefore summed once per process and kept in an ``lru_cache`` of at most
+``LOG_SERIES_CACHE_SIZE`` (4096) entries of one complex each; the error
+bound and flags are rebuilt on every call.  An s with imaginary part -0.0
+shares the entry of +0.0: both sum to the same bits.
+
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
-checks need both sides of a formula on a common grid.  Double-precision
-complex arithmetic throughout; no extended-precision mode in this version.
+checks need both sides of a formula on a common grid.  A value whose
+exponential overflows a double raises ``DomainError`` instead, naming the
+log value.  Double-precision complex arithmetic throughout; no
+extended-precision mode in this version.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ FLAG_REFLECTED = "reflected"
 # elements per block of k-layers x powers in the Zograf direct path: 256 kB
 # per complex array
 ZOGRAF_BLOCK = 2 ** 14
+# distinct (spectrum, l_cut, k, s) sigma log series kept, one complex each
+LOG_SERIES_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,13 @@ def _base_flags(spec: LengthSpectrum, p: EvalParams) -> tuple[str, ...]:
     return (FLAG_INCOMPLETE,) if p.l_cut > spec.l_max else ()
 
 
+def _exp(log_value: complex) -> complex:
+    try:
+        return cmath.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"exp of the log series {log_value!r} overflows a double") from None
+
+
 def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
             in_domain: bool, extra_bound: float = 0.0, prefactor: float = 1.0,
             flags: tuple[str, ...] = (), re_top: float | None = None) -> ZetaValue:
@@ -107,8 +126,7 @@ def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
         heuristic = True
     if not in_domain:
         flags = flags + (FLAG_FORMAL,)
-    return ZetaValue(cmath.exp(log_value), log_value, bound, heuristic, in_domain,
-                     p.l_cut, flags)
+    return ZetaValue(_exp(log_value), log_value, bound, heuristic, in_domain, p.l_cut, flags)
 
 
 def _selberg_prefactor(spec: LengthSpectrum) -> float:
@@ -130,6 +148,14 @@ def _sigma_block(table: PowerTable, ks: list[int], ss: list[complex]) -> np.ndar
     return -table.weight * chi * np.exp(-np.array(ss)[:, None] * table.length)
 
 
+@lru_cache(maxsize=LOG_SERIES_CACHE_SIZE)
+def _sigma_log(spec: LengthSpectrum, l_cut: float, k: int, s: complex, selberg: bool) -> complex:
+    # the Ruelle (selberg=False) or Selberg sigma_k log series at s
+    table = powers_up_to(spec, l_cut)
+    terms = _sigma_block(table, [k], [s])[0]
+    return fsum_complex(terms / table.denominator if selberg else terms)
+
+
 def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
     """R(sigma_k, s) = prod over primitive classes of (1 - sigma_k(m_gamma) e^(-s l)).
 
@@ -137,7 +163,7 @@ def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Zet
     global enumeration, so each (class, m) contributes -sigma_k(power) e^(-s L) / m.
     """
     s = complex(s)
-    log_value = fsum_complex(_sigma_block(powers_up_to(spec, p.l_cut), [k], [s])[0])
+    log_value = _sigma_log(spec, p.l_cut, k, s, False)
     return _finish(spec, p, log_value, s.real, s.real > 2.0)
 
 
@@ -148,8 +174,7 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
     -sigma_k(power) e^(-s L) / (m (1-e^-m(l+it)) (1-e^-m(l-it))).
     """
     s = complex(s)
-    table = powers_up_to(spec, p.l_cut)
-    log_value = fsum_complex(_sigma_block(table, [k], [s])[0] / table.denominator)
+    log_value = _sigma_log(spec, p.l_cut, k, s, True)
     return _finish(spec, p, log_value, s.real, s.real > 2.0,
                    prefactor=_selberg_prefactor(spec) if spec.entries else 1.0)
 
@@ -173,7 +198,7 @@ def _combine(p: EvalParams, num: list[ZetaValue], den: list[ZetaValue], in_domai
     factors = num + den
     merged = dict.fromkeys(fl for f in factors for fl in f.flags if fl != FLAG_FORMAL)
     flags = tuple(merged) + flags + (() if in_domain else (FLAG_FORMAL,))
-    return ZetaValue(cmath.exp(log_value), log_value, bound,
+    return ZetaValue(_exp(log_value), log_value, bound,
                      any(f.heuristic_bound for f in factors), in_domain, p.l_cut, flags)
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from geozeta import entry, exact, fixtures, identities, spectrum, zeta
-from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, _emit, _strict, build_parser, main
+from geozeta.cli import (GRID_POINTS_MAX, IDENTITY_CHOICES, SAMPLES_MAX, _emit, _strict,
+                         build_parser, main)
 from geozeta.continuation import serialize_invariants
 from geozeta.heattrace import heat_trace_geometric
 from geozeta.identities import IDENTITIES, predict_torsion_ratio, verify_ruelle_decomposition
@@ -400,6 +401,37 @@ def test_grid_cap_refuses_before_allocating(spec_file, capsys):
                  "--grid", f"3,4,{GRID_POINTS_MAX + 1},0"]) == 2
 
 
+def test_samples_over_the_limit_exit_2_before_sampling(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "verify_reflection_involution",
+                        lambda **kwargs: pytest.fail("sampled"))
+    assert main(["verify", "--identity", "reflect-involution",
+                 "--samples", str(SAMPLES_MAX + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --samples allows at most {SAMPLES_MAX}, got {SAMPLES_MAX + 1}\n"
+
+
+def test_an_overflowing_trace_flags_every_point(spec_file, capsys):
+    # rho_25 traces of the fixture's longer powers pass 1e308
+    assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", "25",
+                       "--spectrum", spec_file]) == 1
+    doc = strict_loads(capsys.readouterr().out)
+    assert not doc["passed"] and len(doc["points"]) == 8
+    assert all(pt["residual"] is None and pt["flags"] == [
+        "error: a trace of rho_25 on a power of class 1 (length 2.3, m 25) overflows a double"]
+        for pt in doc["points"])
+
+
+@pytest.mark.parametrize("where", ["--s=-1", "--grid=-1,3,5,0"])
+def test_an_overflowing_value_exits_2(spec_file, capsys, where):
+    assert entry.main(["eval", "--kind", "ruelle-sigma", "--k", "1", where,
+                       "--spectrum", spec_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: exp of the log series (") and err.count("\n") == 1
+    assert err.endswith(") overflows a double\n")
+
+
 def strict_loads(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -435,12 +467,14 @@ def test_csv_writes_non_finite_as_empty_field(tmp_path, spec_file):
     assert math.isfinite(float(bound))
 
 
-def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path):
+def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
     # the second run in one process reuses the Newton, exact and power-table
-    # caches the first one filled, and must not change a byte of the report
+    # caches the first one filled, and must not change a byte of the report;
+    # serial, so that every check fills and reads this process's caches
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 1)
     caches = (identities._newton_coefficients, exact._q_sqrt_power, exact._u_half_power,
               exact._denominators, exact._trace_core, spectrum._power_table,
-              spectrum._expanded_classes, spectrum._fit_growth, zeta._k_top)
+              spectrum._expanded_classes, spectrum._fit_growth, zeta._k_top, zeta._sigma_log)
     for cache in caches:
         cache.cache_clear()
     here = Path(fixtures.__file__).parent
@@ -454,7 +488,8 @@ def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path):
                          "--output", str(out)]) == 0
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
-    for cache in (identities._newton_coefficients, exact._denominators, spectrum._power_table):
+    for cache in (identities._newton_coefficients, exact._denominators, spectrum._power_table,
+                  zeta._sigma_log):
         assert cache.cache_info().hits > 0
 
 

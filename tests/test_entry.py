@@ -8,6 +8,7 @@ load every module a function-wrapping tracer patches.
 import importlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,6 +18,8 @@ import pytest
 
 import geozeta
 from geozeta import cli, entry
+from geozeta.continuation import EtaNotSuppliedError
+from geozeta.spectrum import DomainError, SpectrumError
 
 SRC = Path(geozeta.__file__).resolve().parent.parent
 FIXTURES = SRC / "geozeta" / "fixtures"
@@ -170,3 +173,18 @@ def test_usage_errors_print_one_line(argv, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith("geozeta") and ": error: " in err
+
+
+@pytest.mark.parametrize("make, attrs", [
+    (lambda: SpectrumError("entries[0]: bad length"), {}),
+    (lambda: DomainError("l_cut must be positive, got 0.0"), {}),
+    (lambda: entry.CliError("this command needs --spectrum"), {}),
+    (lambda: EtaNotSuppliedError(2), {"k": 2}),
+])
+def test_package_exceptions_survive_pickling(make, attrs):
+    # a process pool sends a worker's exception back pickled
+    exc = make()
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc) and back.args == exc.args
+    assert {name: getattr(back, name) for name in attrs} == attrs
