@@ -23,12 +23,10 @@ _EXPORTS = {
     "exact": ("ExactClass", "ExactCheckResult", "FIXTURE_CLASSES", "GaussianRational",
               "exact_battery", "exact_identity_check", "to_length_spectrum"),
     "heattrace": ("HeatTraceResult", "heat_trace_geometric", "small_time_fit"),
-    "identities": ("IdentityReport", "TorsionPrediction", "battery_reports",
-                   "main_theorem_residual", "predict_torsion_ratio",
+    "identities": ("IdentityReport", "battery_reports", "main_theorem_residual",
                    "relative_residual", "ruelle_rho_direct",
                    "selberg_rho_bruteforce", "selberg_sigma_bruteforce",
-                   "special_case_low_n", "theta_even", "theta_odd",
-                   "verify_corollary_FG", "verify_det_chain",
+                   "special_case_low_n", "verify_corollary_FG", "verify_det_chain",
                    "verify_four_selberg_quotient", "verify_reflection_involution",
                    "verify_rho_selberg_quotient", "verify_ruelle_decomposition",
                    "verify_ruelle_functional_equation",
@@ -37,6 +35,7 @@ _EXPORTS = {
                  "LengthSpectrum", "PowerTable", "SpectrumError", "flip_spins",
                  "parse_spectrum", "parse_spectrum_csv", "powers_up_to",
                  "serialize_spectrum", "tail_bound"),
+    "torsion": ("TorsionPrediction", "predict_torsion_ratio", "theta_even", "theta_odd"),
     "zeta": ("EvalParams", "ZetaValue", "ruelle_rho", "ruelle_sigma", "selberg_rho",
              "selberg_sigma", "zograf_F", "zograf_G"),
 }

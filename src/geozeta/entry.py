@@ -1,17 +1,27 @@
 """Entry point of the ``geozeta`` command; imports the standard library only.
 
 ``python -m geozeta`` and the installed ``geozeta`` script both call
-``main``.  ``validate`` only reads and checks input files, so ``main`` serves
-it with a validate-only parser over the parsers of ``spectrum`` and
-``continuation``, which import no numpy: a ``validate`` run loads neither
-numpy nor any evaluator module and costs little more than the interpreter's
-own start-up.  Every other command goes to ``cli.main``, which imports them
-all.
+``main``.  ``COMMANDS`` is the command table: each command's help line and
+the module and name of its argument-setup function.  ``main`` builds only
+the named command's parser, with the prog of ``cli``'s subparser, so a run
+imports only the modules that command runs:
+
+- ``validate`` is served here, over the parsers of ``spectrum`` and
+  ``continuation``, which import no numpy: it loads neither numpy nor any
+  evaluator module and costs little more than the interpreter's own start-up;
+- ``eval``, ``verify``, ``predict-torsion`` and ``heat-trace`` are set up and
+  run by ``commands``, whose command functions import their evaluator modules
+  when they run.
+
+Everything else - no command, an unknown command, a top-level ``-h``, or
+arguments a command does not recognize - goes to ``cli.main``, whose parser
+composes the same setup functions and so words every usage error the same.
 
 What both routes share lives here: the input loaders, the input options
 every command takes, ``cmd_validate`` and ``run`` (the mapping of input
-errors to one line and exit status 2), so a ``validate`` run prints the same
-bytes and exits with the same status either way.
+errors to one line and exit status 2), so a command prints the same bytes
+and exits with the same status either way.  ``continuation`` is imported
+only when an invariants file is read.
 """
 
 from __future__ import annotations
@@ -19,9 +29,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .continuation import ManifoldInvariants, parse_invariants
 from .spectrum import LengthSpectrum, SpectrumError, parse_spectrum, parse_spectrum_csv
+
+if TYPE_CHECKING:
+    from .continuation import ManifoldInvariants
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,6 +88,7 @@ def _load_invariants(args, required: bool = True,
         if required:
             raise CliError("this command needs --invariants")
         return None
+    from .continuation import parse_invariants
     text = _read_text(Path(name), "invariants")
     try:
         return parse_invariants(text)
@@ -146,12 +160,31 @@ def run(args) -> int:
         return EXIT_INPUT
 
 
+# command -> (help line, module, name of its argument-setup function)
+COMMANDS = {
+    "validate": ("parse and validate input files", "entry", "validate_arguments"),
+    "eval": ("evaluate one zeta object on a point or grid", "commands", "eval_arguments"),
+    "verify": ("run an identity check or the whole battery", "commands", "verify_arguments"),
+    "predict-torsion": ("assemble the torsion-ratio prediction", "commands",
+                        "predict_torsion_arguments"),
+    "heat-trace": ("geometric heat-trace values and small-time fits", "commands",
+                   "heat_trace_arguments"),
+}
+
+
+def command_arguments(command: str):
+    """The argument-setup function of ``command``, importing only its module."""
+    _, module, name = COMMANDS[command]
+    # the import statement's own route, which ``-X importtime`` reports
+    return getattr(__import__(module, globals(), None, (name,), 1), name)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["validate"]:
-        # the prog of cli's validate subparser, so usage and errors read the same
-        parser = ArgumentParser(prog="geozeta validate")
-        validate_arguments(parser)
+    if argv and argv[0] in COMMANDS:
+        # the prog of cli's subparser, so usage, help and errors read the same
+        parser = ArgumentParser(prog=f"geozeta {argv[0]}")
+        command_arguments(argv[0])(parser)
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             return run(args)

@@ -18,6 +18,7 @@ Laplacians: (a1, a2) = (sqrt(pi)/2, -sqrt(pi)/2) for p = 0 and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .spectrum import DomainError, LengthSpectrum, PowerTable, powers_up_to
 from .zeta import EvalParams, _growth_for
 
 SQRT_PI = math.sqrt(math.pi)
+# the largest x whose e^x a double holds
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,15 @@ def _trace_rho(table: PowerTable, m: int) -> np.ndarray:
     # chars.trace_rho per power: the lifted eigenvalue summed over weights m, m-2, ..., -m
     if m < 0:
         raise ValueError(f"symmetric-power index must be >= 0, got {m}")
+    # |tr rho_m| <= e^(mL/2) min(m + 1, 1/(1 - e^-L)): refuse the table before a
+    # power, their sum or its product with multiplicity x base length overflows
+    top = (0.5 * m * table.length
+           + np.minimum(math.log(m + 1), -np.log(-np.expm1(-table.length)))
+           + np.log(np.maximum(1.0, table.multiplicity * table.base_length)))
+    if top.size and top.max() > LOG_FLOAT_MAX:
+        length = float(table.length[np.argmax(top)])
+        raise DomainError(f"m={m} is too large: the traces of rho_{m} overflow a double "
+                          f"at power length {length!r}")
     lam = table.spin_sign * np.exp(0.5 * (table.length + 1j * table.angle))
     return sum(lam ** (m - 2 * j) for j in range(m + 1))
 
@@ -122,7 +134,9 @@ def small_time_fit(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, p: int
     if p not in (0, 1):
         raise ValueError(f"p must be 0 or 1, got {p!r}")
     ts = np.asarray(DEFAULT_FIT_GRID if t_grid is None else list(t_grid), dtype=float)
-    if ts.size < 4 or np.any(ts <= 0) or ts.max() > 0.5 or np.unique(ts).size < 4:
+    # distinct points counted with a set: np.unique would import numpy.ma, which
+    # costs a fresh heat-trace process more than the whole fit
+    if ts.size < 4 or not np.all((ts > 0) & (ts <= 0.5)) or len(set(ts.tolist())) < 4:
         raise ValueError("t_grid must hold >= 4 distinct points in (0, 0.5]")
     dim = m + 1
     scale = 4.0 * math.pi ** 2 / (dim * inv.volume)

@@ -1,4 +1,4 @@
-"""Identity verification harness and the torsion-ratio predictor.
+"""Identity verification harness.
 
 Each product identity of the zeta calculus becomes a residual computation on
 a small grid of s-values inside its guaranteed convergence region: the two
@@ -66,12 +66,14 @@ from typing import Callable
 import numpy as np
 
 from .chars import eigenvalue, sigma_char, trace_rho
-from .continuation import (ComplexVolume, EtaNotSuppliedError, ManifoldInvariants,
-                           eta_lookup, reflect_selberg, selberg_anywhere)
+from .continuation import (EtaNotSuppliedError, ManifoldInvariants, eta_lookup,
+                           reflect_selberg, selberg_anywhere)
 from .exact import exact_battery
 from .numerics import fsum_complex, fsum_rows, log1m_array
 from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
                        powers_up_to)
+# the predictor lives in ``torsion``; its names stay importable from here
+from .torsion import TorsionPrediction, predict_torsion_ratio, theta_even, theta_odd  # noqa: F401
 from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
@@ -491,74 +493,6 @@ def verify_reflection_involution(samples: int = 1000, seed: int = 20240817,
 # ---------------------------------------------------------------------------
 # Special values: the main-theorem pipeline
 
-def theta_even(inv: ManifoldInvariants, n: int) -> float:
-    """Eta anomaly for the even symmetric power 2(n-1):
-    eta(2n) - eta(2(n-1)) - (6n^2 - 6n + 1) eta(2); zero at n = 1."""
-    return (eta_lookup(inv, 2 * n) - eta_lookup(inv, 2 * (n - 1))
-            - (6 * n * n - 6 * n + 1) * eta_lookup(inv, 2))
-
-
-def theta_odd(inv: ManifoldInvariants, n: int) -> float:
-    """Eta anomaly for the odd symmetric power 2n-1:
-    eta(2n+1) - eta(2n-1) - (6n^2 - 1/2) eta(1)."""
-    return (eta_lookup(inv, 2 * n + 1) - eta_lookup(inv, 2 * n - 1)
-            - (6 * n * n - 0.5) * eta_lookup(inv, 1))
-
-
-@dataclass(frozen=True)
-class TorsionPrediction:
-    """Predicted power of the torsion ratio (zero-eigensection over Reidemeister).
-
-    ``value`` is the 12th power of the ratio for even parity, the 4th power
-    for odd parity, assembled exactly as the main theorem writes it.
-    """
-
-    n: int
-    parity: str
-    value: complex
-    theta: float
-    f_or_g: complex
-    complex_volume: ComplexVolume
-
-
-def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
-                          parity: str, p: EvalParams | None = None) -> TorsionPrediction:
-    """Assemble the main theorem's right-hand side from spectrum + invariants.
-
-    Even parity (n >= 3): exp(6 pi i theta) exp((2/pi)(6n^2-6n+1) V) F_n(0)^12
-    with V the complex volume Vol + i 2 pi^2 CS.  Odd parity (n >= 2):
-    exp(2 pi i theta) exp((2/pi)(2n^2-1/6)(Vol + i 3 pi^2 eta_1)) G_n(0)^4.
-    """
-    p = p or EvalParams.for_spectrum(spec)
-    cv = inv.complex_volume
-    if parity == "even":
-        if n < 3:
-            raise DomainError(
-                f"n={n} below threshold: s=0 outside convergence domain; "
-                "use special-case evaluator")
-        theta = theta_even(inv, n)
-        f = zograf_F(spec, n, 0.0, p)
-        coeff = 6 * n * n - 6 * n + 1
-        value = (cmath.exp(6j * math.pi * theta)
-                 * cmath.exp((2.0 / math.pi) * coeff * complex(cv.re, cv.im))
-                 * f.value ** 12)
-        return TorsionPrediction(n, parity, value, theta, f.value, cv)
-    if parity == "odd":
-        if n < 2:
-            raise DomainError(
-                f"n={n} below threshold: s=0 outside convergence domain; "
-                "use special-case evaluator")
-        theta = theta_odd(inv, n)
-        g = zograf_G(spec, n, 0.0, p)
-        coeff = 2 * n * n - 1.0 / 6.0
-        im_part = 3.0 * math.pi * math.pi * eta_lookup(inv, 1)
-        value = (cmath.exp(2j * math.pi * theta)
-                 * cmath.exp((2.0 / math.pi) * coeff * complex(inv.volume, im_part))
-                 * g.value ** 4)
-        return TorsionPrediction(n, parity, value, theta, g.value, cv)
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
 def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
                           parity: str, p: EvalParams | None = None, tol: float = 1e-9,
                           claimed: ManifoldInvariants | None = None,
@@ -717,6 +651,8 @@ IDENTITIES: dict[str, Identity] = {
     "exact-oracle": Identity(lambda spec, inv, p, tol: verify_exact_oracle(), (), ({},),
                              needs_spectrum=False),
 }
+# the ``verify --identity`` choices: one registered check, or the whole battery
+IDENTITY_CHOICES = (*IDENTITIES, "all")
 
 
 def run_identity(identity_id: str, spec: LengthSpectrum | None,

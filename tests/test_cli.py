@@ -111,6 +111,16 @@ class TestEval:
         assert out == ""
         assert err == f"error: {flag} must give finite points, got {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["3,0.5,junk", "3,0.5,1", "1,2,3,4,5"])
+    def test_s_with_more_than_two_fields_is_usage_error(self, spec_file, capsys, value):
+        # the fields past the second were dropped: 3,0.5,junk evaluated at 3+0.5i
+        code = main(["eval", "--spectrum", spec_file, "--kind", "selberg-sigma", "--k", "0",
+                     f"--s={value}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --s expects 're' or 're,im', got {value!r}\n"
+
     def test_csv_export(self, tmp_path, spec_file):
         out = tmp_path / "out.csv"
         code = main(["eval", "--spectrum", spec_file, "--kind", "ruelle-sigma",
@@ -295,6 +305,18 @@ class TestPredictAndHeat:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: t=1e-300 is too small: the identity term overflows\n"
+
+    @pytest.mark.parametrize("argv", [["--t", "1"], ["--fit"]], ids=["point", "fit"])
+    def test_heat_trace_overflowing_traces_exit_2(self, spec_file, inv_file, capsys, argv):
+        # rho_120 traces of the length-12 power overflowed: two numpy warnings,
+        # null values and exit 0
+        code = entry.main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                           "--m", "120", "--p", "0", *argv])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: m=120 is too large: the traces of rho_120 overflow a double "
+                       "at power length 12.0\n")
 
     def test_heat_trace_fit(self, tmp_path, spec_file, inv_file):
         out = tmp_path / "f.json"

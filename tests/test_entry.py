@@ -1,8 +1,9 @@
-"""The stdlib-only entry point and the lazy package exports.
+"""The entry point's command table and the lazy package exports.
 
-``geozeta validate`` must start without numpy or any evaluator module, and
-must behave exactly as the full CLI does; ``import geozeta.cli`` must still
-load every module a function-wrapping tracer patches.
+``geozeta validate`` must start without numpy or any evaluator module, every
+command must load only the modules it runs, and each must behave exactly as
+the full CLI does; ``import geozeta.cli`` must still load every module a
+function-wrapping tracer patches.
 """
 
 import importlib
@@ -112,17 +113,23 @@ def _validate_cases(tmp_path):
     }
 
 
+def _both_routes(argv, capsys) -> int:
+    """Run ``argv`` through ``cli.main`` here and ``python -m geozeta`` in a
+    child; assert the same exit status, stdout and stderr, and return the status."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors and -h
+        rc = exc.code
+    out, err = capsys.readouterr()
+    proc = _python("-m", "geozeta", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
+    return rc
+
+
 def test_validate_route_matches_full_cli(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the same width in both
     for case, argv in _validate_cases(tmp_path).items():
-        argv = ["validate", *argv]
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors and -h
-            rc = exc.code
-        out, err = capsys.readouterr()
-        proc = _python("-m", "geozeta", *argv)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), case
+        rc = _both_routes(["validate", *argv], capsys)
         assert rc == (0 if case in ("good", "help") else 2), case
 
 
@@ -162,6 +169,49 @@ USAGE_ERRORS = {
     "heat-missing": ["heat-trace", "--t", "1.0"],
     "heat-unknown": ["heat-trace", "--spectrum", SPECTRA[0], "--bogus"],
 }
+
+
+# One good run of each evaluating command on the small fixture, and the
+# modules it must not load: those of the commands it does not run, and
+# numpy.ma, which np.unique would import for a heat-trace fit.
+GOOD_RUNS = {
+    "eval": (["eval", "--spectrum", SPECTRA[0], "--kind", "selberg-sigma", "--k", "0",
+              "--grid", "3,4,3,0.3"],
+             ("geozeta.identities", "geozeta.exact", "geozeta.heattrace",
+              "geozeta.continuation", "geozeta.cli")),
+    "verify": (["verify", "--spectrum", SPECTRA[0], "--invariants", INVARIANTS,
+                "--identity", "det-chain"],
+               ("geozeta.heattrace", "geozeta.cli")),
+    "predict-torsion": (["predict-torsion", "--spectrum", SPECTRA[0], "--invariants",
+                         INVARIANTS, "--n", "3", "--parity", "even"],
+                        ("geozeta.identities", "geozeta.exact", "geozeta.cli")),
+    "heat-trace": (["heat-trace", "--spectrum", SPECTRA[0], "--invariants", INVARIANTS,
+                    "--m", "1", "--p", "1", "--fit"],
+                   ("geozeta.identities", "geozeta.exact", "geozeta.cli", "numpy.ma")),
+}
+
+
+@pytest.mark.parametrize("command", GOOD_RUNS)
+def test_each_command_loads_only_what_it_runs(command):
+    argv, not_loaded = GOOD_RUNS[command]
+    proc = _python("-X", "importtime", "-m", "geozeta", *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = _imported(proc.stderr)
+    assert {"geozeta.entry", "geozeta.commands"} <= loaded
+    assert not loaded & set(not_loaded)
+
+
+@pytest.mark.parametrize("command", GOOD_RUNS)
+def test_every_command_route_matches_full_cli(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the same width in both
+    assert _both_routes(GOOD_RUNS[command][0], capsys) == 0
+    assert _both_routes([command, "-h"], capsys) == 0
+
+
+@pytest.mark.parametrize("argv", [*USAGE_ERRORS.values(), ["-h"]], ids=[*USAGE_ERRORS, "help"])
+def test_usage_errors_and_top_level_help_match_full_cli(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _both_routes(argv, capsys) == (0 if argv == ["-h"] else 2)
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())

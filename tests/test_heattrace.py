@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -93,6 +94,15 @@ class TestHyperbolicTerm:
         with pytest.raises(ValueError):
             heat_trace_geometric(small_spec, invariants, 0, 2, 1.0)
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_refuses_m_whose_traces_overflow(self, small_spec, invariants, p):
+        # the fixture's longest power has length 12: e^(118 * 6) still fits a
+        # double, e^(119 * 6) does not; below the limit no warning is raised
+        result = heat_trace_geometric(small_spec, invariants, 118, p, 1.0)
+        assert cmath.isfinite(result.total)
+        with pytest.raises(DomainError, match=r"m=119 .* at power length 12\.0$"):
+            heat_trace_geometric(small_spec, invariants, 119, p, 1.0)
+
 
 class TestSmallTimeFit:
     def test_p0_coefficients(self, invariants):
@@ -125,3 +135,7 @@ class TestSmallTimeFit:
             small_time_fit(EMPTY, invariants, 0, 0, [0.1, 0.2])
         with pytest.raises(ValueError):
             small_time_fit(EMPTY, invariants, 0, 0, [0.1, 0.2, 0.3, 0.9])
+        with pytest.raises(ValueError, match="distinct points"):
+            small_time_fit(EMPTY, invariants, 0, 0, [0.1, 0.2, 0.3, 0.3])
+        with pytest.raises(ValueError, match="distinct points"):
+            small_time_fit(EMPTY, invariants, 0, 0, [0.1, 0.2, 0.3, 0.4, math.nan])
