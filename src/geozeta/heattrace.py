@@ -8,6 +8,12 @@ eigenvalues of the flat Laplacians - require data this package never sees and
 are deliberately absent; downstream consequences of the trace formulas are
 exercised through the determinant-chain identity instead.
 
+The hyperbolic sum runs through ``zeta._log_series``: tr rho_m sums
+lambda^w = sigma_w e^(wL/2) over w = m, m-2, ..., -m, D = e^L x denominator
+and multiplicity x base length = weight x L, so weight w is a Selberg row at
+s = 1 - w/2 whose exponent (w/2 - 1)L - L^2/4t holds the Gaussian wave
+factor, so no lambda^m is formed before the wave factor brings it down.
+
 Conventions: p = 0 is the trace of exp(-t(Delta_0 - 1)); p = 1 is the
 difference of the 1-form and 0-form traces.  The small-time fit folds the
 e^(-t) shift back in so the fitted coefficients match the unshifted
@@ -18,19 +24,16 @@ Laplacians: (a1, a2) = (sqrt(pi)/2, -sqrt(pi)/2) for p = 0 and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .continuation import ManifoldInvariants
 from .numerics import fsum_complex
-from .spectrum import DomainError, LengthSpectrum, PowerTable, powers_up_to
-from .zeta import EvalParams, _growth_for
+from .spectrum import DomainError, LengthSpectrum, powers_up_to
+from .zeta import EvalParams, _growth_for, _log_series, _weight_budget
 
 SQRT_PI = math.sqrt(math.pi)
-# the largest x whose e^x a double holds
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -60,45 +63,36 @@ def _identity_term(p: int, dim: int, volume: float, t: float) -> float:
     return term
 
 
-def _trace_rho(table: PowerTable, m: int) -> np.ndarray:
-    # chars.trace_rho per power: the lifted eigenvalue summed over weights m, m-2, ..., -m
-    if m < 0:
-        raise ValueError(f"symmetric-power index must be >= 0, got {m}")
-    # |tr rho_m| <= e^(mL/2) min(m + 1, 1/(1 - e^-L)): refuse the table before a
-    # power, their sum or its product with multiplicity x base length overflows
-    top = (0.5 * m * table.length
-           + np.minimum(math.log(m + 1), -np.log(-np.expm1(-table.length)))
-           + np.log(np.maximum(1.0, table.multiplicity * table.base_length)))
-    if top.size and top.max() > LOG_FLOAT_MAX:
-        length = float(table.length[np.argmax(top)])
-        raise DomainError(f"m={m} is too large: the traces of rho_{m} overflow a double "
-                          f"at power length {length!r}")
-    lam = table.spin_sign * np.exp(0.5 * (table.length + 1j * table.angle))
-    return sum(lam ** (m - 2 * j) for j in range(m + 1))
-
-
 def heat_trace_geometric(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
                          p: int, t: float, params: EvalParams | None = None) -> HeatTraceResult:
     """Identity plus hyperbolic contributions at time t.
 
     The hyperbolic sum runs over powers of total length <= l_cut; each carries
     base length * tr rho_m(power) / D(power) times the Gaussian wave factor,
-    and for p = 1 the extra 2 cos(theta) rotation weight.
+    and for p = 1 the extra 2 cos(theta) rotation weight.  A term or a sum
+    that overflows a double is refused with a ``DomainError``.
     """
     if p not in (0, 1):
         raise ValueError(f"p must be 0 or 1, got {p!r}")
     if not t > 0:
         raise DomainError(f"t must be positive, got {t!r}")
     params = params or EvalParams.for_spectrum(spec)
-    dim = m + 1
-    ident = _identity_term(p, dim, inv.volume, t)
+    ident = _identity_term(p, m + 1, inv.volume, t)
     gauss = 1.0 / math.sqrt(4.0 * math.pi * t)
     table = powers_up_to(spec, params.l_cut)
+    _weight_budget(m, table)
     weight = 1.0 if p == 0 else 2.0 * np.cos(table.angle)
-    # D(power) = e^L |1 - e^-(L + i theta)|^2, as in chars.discriminant_D
-    hyper = fsum_complex(table.multiplicity * table.base_length * _trace_rho(table, m)
-                         / (np.exp(table.length) * table.denominator)
-                         * weight * gauss * np.exp(-table.length ** 2 / (4.0 * t)))
+    ws = list(range(m, -m - 1, -2))
+    wave = -table.length ** 2 / (4.0 * t)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            rows = _log_series(table, ws, [1.0 - 0.5 * w for w in ws], selberg=True,
+                               shift=wave, factor=-table.length * weight * gauss)
+            hyper = fsum_complex(np.array(rows))
+    except (FloatingPointError, OverflowError):
+        length = float(table.length[np.argmax((0.5 * m - 1.0) * table.length + wave)])
+        raise DomainError(f"m={m} is too large: the heat-trace terms of rho_{m} overflow a "
+                          f"double at power length {length!r}") from None
     growth = _growth_for(spec, params)
     # every omitted power has length > l_cut, so its wave factor is below
     # gauss * e^(-l_cut^2 / 4t); the count comes from the growth envelope

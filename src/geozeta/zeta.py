@@ -3,12 +3,12 @@ their symmetric-power twists, and the even/odd Zograf infinite products.
 
 Every evaluator sums the log of its product over the deterministic power
 enumeration (ascending total length, ties by class index then power),
-truncated at total length l_cut, and exponentiates once at the end.  The
-enumeration is the cached ``PowerTable`` of the spectrum: each log series is
-one numpy expression over its columns, summed correctly rounded
-(``numerics.fsum_complex``, the value of ``math.fsum``), so results do not
-depend on summation order.  The Selberg double product over (p, q) >= 0 is
-summed in closed form per power, so a single table drives every object.
+truncated at total length l_cut, and exponentiates once at the end.  One
+kernel, ``_log_series``, sums every such series over the spectrum's cached
+``PowerTable``, rows (k, s) in blocks, each row correctly rounded by
+``numerics.fsum_rows``.  A Ruelle or Selberg sigma series is one row (the
+Selberg double product over (p, q) >= 0 summed in closed form per power), the
+direct Zograf path one row per k-layer and the heat trace one per weight.
 
 The Ruelle and Selberg sigma log series are pure functions of (spectrum,
 l_cut, k, s), and the identity checks ask for the same ones many times (a
@@ -36,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import fsum_complex, fsum_real, fsum_rows
-from .spectrum import (DomainError, GrowthModel, LengthSpectrum, PowerTable, powers_up_to,
-                       tail_bound)
+from .spectrum import (POWER_BUDGET, DomainError, GrowthModel, LengthSpectrum, PowerTable,
+                       powers_up_to, tail_bound)
 
 FLAG_FORMAL = "formal-truncation"
 FLAG_INCOMPLETE = "incomplete-spectrum"
@@ -46,8 +46,7 @@ FLAG_RATIO = "ratio-form"
 FLAG_DIRECT = "direct-k-product"
 FLAG_REFLECTED = "reflected"
 
-# elements per block of k-layers x powers in the Zograf direct path: 256 kB
-# per complex array
+# elements per block of log-series rows x powers: 256 kB per complex array
 ZOGRAF_BLOCK = 2 ** 14
 # distinct (spectrum, l_cut, k, s) sigma log series kept, one complex each
 LOG_SERIES_CACHE_SIZE = 4096
@@ -139,21 +138,47 @@ def _selberg_prefactor(spec: LengthSpectrum) -> float:
     return gap ** -2
 
 
-def _sigma_block(table: PowerTable, ks: list[int], ss: list[complex]) -> np.ndarray:
-    # row i holds, per power, -(multiplicity/m) sigma_{ks[i]}(power) e^(-ss[i] L),
-    # sigma_k as in chars.sigma_char
-    chi = np.exp(np.array([0.5j * k for k in ks])[:, None] * table.angle)
-    odd = np.array([k % 2 == 1 for k in ks])
-    chi[odd] = table.spin_sign * chi[odd]
-    return -table.weight * chi * np.exp(-np.array(ss)[:, None] * table.length)
+def _log_series(table: PowerTable, ks: list[int], ss: list[complex], selberg: bool = False,
+                shift: np.ndarray | None = None,
+                factor: np.ndarray | None = None) -> list[complex]:
+    """Row i sums -(multiplicity/m) sigma_{ks[i]}(power) e^(-ss[i] L + shift)
+    over the powers (sigma_k as in chars.sigma_char), each term over the
+    ``denominator`` if ``selberg``, then times ``factor``.  Rows are built in
+    blocks of at most ``ZOGRAF_BLOCK`` elements (or one row), and one
+    ``fsum_rows`` call sums each block."""
+    per_block = max(1, ZOGRAF_BLOCK // max(1, len(table)))
+    sums = []
+    for i in range(0, len(ks), per_block):
+        terms = np.exp(np.array([0.5j * k for k in ks[i:i + per_block]])[:, None] * table.angle)
+        odd = np.array([k % 2 == 1 for k in ks[i:i + per_block]])
+        terms[odd] = table.spin_sign * terms[odd]
+        exponent = -np.array(ss[i:i + per_block])[:, None] * table.length
+        if shift is not None:
+            exponent += shift
+        terms = -table.weight * terms * np.exp(exponent, out=exponent)
+        del exponent  # only the terms stay alive through the sum
+        if selberg:
+            terms /= table.denominator
+        if factor is not None:
+            terms *= factor
+        parts = fsum_rows(np.concatenate((terms.real, terms.imag)))
+        sums += [complex(re, im) for re, im in zip(parts, parts[len(parts) // 2:])]
+    return sums
+
+
+def _weight_budget(m: int, table: PowerTable) -> None:
+    # refuse m before any of its m + 1 weight rows over the table is built
+    if m < 0:
+        raise ValueError(f"symmetric-power index must be >= 0, got {m}")
+    if (m + 1) * max(1, len(table)) > POWER_BUDGET:
+        raise DomainError(f"m={m} is too large: {m + 1} weights over {len(table)} power rows "
+                          f"exceed the power budget of {POWER_BUDGET}")
 
 
 @lru_cache(maxsize=LOG_SERIES_CACHE_SIZE)
 def _sigma_log(spec: LengthSpectrum, l_cut: float, k: int, s: complex, selberg: bool) -> complex:
     # the Ruelle (selberg=False) or Selberg sigma_k log series at s
-    table = powers_up_to(spec, l_cut)
-    terms = _sigma_block(table, [k], [s])[0]
-    return fsum_complex(terms / table.denominator if selberg else terms)
+    return _log_series(powers_up_to(spec, l_cut), [k], [s], selberg)[0]
 
 
 def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -208,8 +233,7 @@ def ruelle_rho(spec: LengthSpectrum, m: int, s: complex, p: EvalParams) -> ZetaV
 
     Fully convergent for Re(s) > 2 + m/2.
     """
-    if m < 0:
-        raise ValueError(f"symmetric-power index must be >= 0, got {m}")
+    _weight_budget(m, powers_up_to(spec, p.l_cut))
     s = complex(s)
     factors = [ruelle_sigma(spec, m - 2 * l, s - m / 2 + l, p) for l in range(m + 1)]
     return _combine(p, factors, [], s.real > 2.0 + m / 2)
@@ -219,18 +243,10 @@ def selberg_rho(spec: LengthSpectrum, m: int, k: int, s: complex, p: EvalParams)
     """Selberg zeta twisted by the m-th symmetric power:
     Z_rho_m(sigma_k, s) = prod_{l=0..m} Z(sigma_{m-2l+k}, s - m/2 + l).
     """
-    if m < 0:
-        raise ValueError(f"symmetric-power index must be >= 0, got {m}")
+    _weight_budget(m, powers_up_to(spec, p.l_cut))
     s = complex(s)
     factors = [selberg_sigma(spec, m - 2 * l + k, s - m / 2 + l, p) for l in range(m + 1)]
     return _combine(p, factors, [], s.real > 2.0 + m / 2)
-
-
-def _layer_count(spec: LengthSpectrum) -> int:
-    # enough shifted-Ruelle layers that the next one is below double precision
-    if not spec.entries:
-        return 1
-    return max(16, math.ceil(46.0 / spec.min_length()))
 
 
 def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
@@ -244,17 +260,10 @@ def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
         raise ValueError(f"method must be 'auto', 'ratio' or 'direct', got {method!r}")
     table = powers_up_to(spec, p.l_cut)
     k_top = _k_top(spec)
-    # the literal k-layer sum, in blocks of layers x powers of at most
-    # ZOGRAF_BLOCK elements (one layer when a row alone is longer)
-    per_block = max(1, ZOGRAF_BLOCK // max(1, len(table)))
-    layers = []
-    for start in range(0, k_top + 1, per_block):
-        ks = range(start, min(start + per_block, k_top + 1))
-        terms = _sigma_block(table, [layer_char(k) for k in ks],
-                             [s + layer_shift(k) for k in ks])
-        sums = fsum_rows(np.concatenate((terms.real, terms.imag)))
-        layers += [complex(re, im) for re, im in zip(sums, sums[len(ks):])]
-    log_value = fsum_complex(np.array(layers))
+    # the literal k-layer sum, one log-series row per layer
+    js = range(k_top + 1)
+    log_value = fsum_complex(np.array(
+        _log_series(table, [layer_char(j) for j in js], [s + layer_shift(j) for j in js])))
     # remaining k-layers bounded by a geometric series in e^-L
     k_tail = fsum_real(table.weight * np.exp(-s.real * table.length)
                        * np.exp(-layer_shift(k_top + 1) * table.length)
@@ -266,7 +275,8 @@ def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
 
 @lru_cache(maxsize=128)
 def _k_top(spec: LengthSpectrum) -> int:
-    return min(_layer_count(spec), 600)
+    # enough shifted-Ruelle layers that the next one is below double precision
+    return min(max(16, math.ceil(46.0 / spec.min_length())), 600) if spec.entries else 1
 
 
 def zograf_F(spec: LengthSpectrum, n: int, s: complex, p: EvalParams,

@@ -24,7 +24,7 @@ from geozeta.chars import eigenvalue, sigma_char, trace_rho
 from geozeta.identities import _default_pq_max
 from geozeta.numerics import log1m_array
 from geozeta.spectrum import GeodesicEntry, power_holonomy, powers_up_to
-from geozeta.zeta import _k_top, _sigma_block
+from geozeta.zeta import _k_top, _log_series
 
 
 def _neumaier_step(s: float, c: float, x: float) -> tuple[float, float]:
@@ -117,15 +117,16 @@ def double_product(spec, m: int, k: int, s: complex, pq_max: int | None) -> comp
 def zograf_direct_log(spec, s: complex, p, layer_char, layer_shift) -> complex:
     """The Zograf direct path's log value as it was summed one k-layer at a time.
 
-    ``zeta._zograf`` builds the layers in blocks and sums a block's rows with
-    one ``numerics.fsum_rows`` call; each layer here is a one-row
-    ``_sigma_block``, whose terms come from the same operations in the same
-    order, so this loop is its bit-for-bit reference.
+    ``zeta._zograf`` asks ``zeta._log_series`` for every layer at once, which
+    builds them in blocks and sums a block's rows with one
+    ``numerics.fsum_rows`` call; each layer here is a one-row call, whose
+    terms come from the same operations in the same order, so this loop is
+    its bit-for-bit reference.
     """
     table = powers_up_to(spec, p.l_cut)
     k_top = _k_top(spec)
     # the literal k-layer sum, one vector per layer: never k_top x powers at once
-    layers = [fsum_complex(_sigma_block(table, [layer_char(k)], [s + layer_shift(k)])[0])
+    layers = [_log_series(table, [layer_char(k)], [s + layer_shift(k)])[0]
               for k in range(k_top + 1)]
     return fsum_complex(np.array(layers))
 

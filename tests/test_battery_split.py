@@ -235,6 +235,5 @@ class TestLogSeriesCache:
         assert first == again
         assert after.maxsize == zeta.LOG_SERIES_CACHE_SIZE
         table = powers_up_to(spec, p.l_cut)
-        terms = zeta._sigma_block(table, [2], [3.0 + 0.5j])[0]
-        assert first[0].log_value == zeta.fsum_complex(terms / table.denominator)
-        assert first[1].log_value == zeta.fsum_complex(terms)
+        assert [first[0].log_value] == zeta._log_series(table, [2], [3.0 + 0.5j], True)
+        assert [first[1].log_value] == zeta._log_series(table, [2], [3.0 + 0.5j])

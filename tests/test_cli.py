@@ -306,17 +306,35 @@ class TestPredictAndHeat:
         assert out == ""
         assert err == "error: t=1e-300 is too small: the identity term overflows\n"
 
-    @pytest.mark.parametrize("argv", [["--t", "1"], ["--fit"]], ids=["point", "fit"])
-    def test_heat_trace_overflowing_traces_exit_2(self, spec_file, inv_file, capsys, argv):
-        # rho_120 traces of the length-12 power overflowed: two numpy warnings,
-        # null values and exit 0
+    @pytest.mark.parametrize("argv, message", [
+        # at t = 1 the rho_127 terms of the length-12 power overflow a double;
+        # m = 126 still fits
+        (["--m", "127", "--t", "1"], "m=127 is too large: the heat-trace terms of rho_127 "
+                                     "overflow a double at power length 12.0"),
+        # at fit times the Gaussian keeps the terms small: the work limit refuses m
+        (["--m", "100000000", "--fit"], "m=100000000 is too large: 100000001 weights over "
+                                        "15 power rows exceed the power budget of 1000000"),
+    ], ids=["point", "fit"])
+    def test_heat_trace_overflowing_traces_exit_2(self, spec_file, inv_file, capsys, argv,
+                                                  message):
         code = entry.main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
-                           "--m", "120", "--p", "0", *argv])
+                           "--p", "0", *argv])
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: m=120 is too large: the traces of rho_120 overflow a double "
-                       "at power length 12.0\n")
+        assert err == f"error: {message}\n"
+
+    def test_heat_trace_m_past_the_work_limit_on_an_empty_table(self, spec_file, inv_file,
+                                                                 capsys):
+        # below the shortest length nothing can overflow; m + 1 weight rows ran
+        # until a timeout
+        code = entry.main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                           "--m", "100000000", "--t", "1", "--l-cut", "0.1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: m=100000000 is too large: 100000001 weights over 0 power rows "
+                       "exceed the power budget of 1000000\n")
 
     def test_heat_trace_fit(self, tmp_path, spec_file, inv_file):
         out = tmp_path / "f.json"
@@ -431,6 +449,16 @@ def test_samples_over_the_limit_exit_2_before_sampling(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --samples allows at most {SAMPLES_MAX}, got {SAMPLES_MAX + 1}\n"
+
+
+def test_ruelle_rho_m_past_the_work_limit_exits_2(spec_file, capsys):
+    # 10^7 + 1 Ruelle factors ran past a 15 s timeout
+    assert entry.main(["eval", "--kind", "ruelle-rho", "--m", "10000000", "--s", "5000010",
+                       "--spectrum", spec_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: m=10000000 is too large: 10000001 weights over 15 power rows "
+                   "exceed the power budget of 1000000\n")
 
 
 def test_an_overflowing_trace_flags_every_point(spec_file, capsys):

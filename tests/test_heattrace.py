@@ -1,16 +1,17 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from geozeta.chars import discriminant_D, trace_rho
+from geozeta.chars import discriminant_D, sigma_char, trace_rho
 from geozeta.continuation import ManifoldInvariants
 from geozeta.heattrace import heat_trace_geometric, small_time_fit
-from geozeta.spectrum import (DomainError, GeodesicEntry, LengthSpectrum,
+from geozeta.spectrum import (POWER_BUDGET, DomainError, GeodesicEntry, LengthSpectrum,
                               power_holonomy, powers_up_to)
-from geozeta.zeta import EvalParams
+from geozeta.zeta import EvalParams, _weight_budget
 from scalar_reference import power_rows
 
 EMPTY = LengthSpectrum((), 1.0)
@@ -96,12 +97,54 @@ class TestHyperbolicTerm:
 
     @pytest.mark.parametrize("p", [0, 1])
     def test_refuses_m_whose_traces_overflow(self, small_spec, invariants, p):
-        # the fixture's longest power has length 12: e^(118 * 6) still fits a
-        # double, e^(119 * 6) does not; below the limit no warning is raised
-        result = heat_trace_geometric(small_spec, invariants, 118, p, 1.0)
+        # the fixture's longest power has length 12: at t = 1 the top weight's
+        # exponent (m/2 - 1) 12 - 36 is 708 at m = 126, which fits a double,
+        # and 714 at m = 127, which does not; below the limit no warning is raised
+        result = heat_trace_geometric(small_spec, invariants, 126, p, 1.0)
         assert cmath.isfinite(result.total)
-        with pytest.raises(DomainError, match=r"m=119 .* at power length 12\.0$"):
-            heat_trace_geometric(small_spec, invariants, 119, p, 1.0)
+        with pytest.raises(DomainError, match=r"m=127 .* at power length 12\.0$"):
+            heat_trace_geometric(small_spec, invariants, 127, p, 1.0)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_largest_m_matches_a_scalar_reference(self, small_spec, invariants, p):
+        # lambda^w / D summed per power and weight, each exponent in one exp
+        m, t = 126, 1.0
+        params = EvalParams.for_spectrum(small_spec)
+        terms = []
+        for h, _, base in power_rows(powers_up_to(small_spec, params.l_cut)):
+            rotation = 1.0 if p == 0 else 2.0 * math.cos(h.angle)
+            for w in range(m, -m - 1, -2):
+                exponent = w * h.length / 2 - h.length ** 2 / (4 * t) - math.log(discriminant_D(h))
+                terms.append(h.multiplicity * base * rotation * sigma_char(h, w)
+                             * cmath.exp(exponent) / math.sqrt(4 * math.pi * t))
+        want = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        got = heat_trace_geometric(small_spec, invariants, m, p, t, params).hyperbolic_term
+        assert abs(got) > 1e307
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_refuses_a_row_sum_that_overflows(self, invariants):
+        # two powers of length 2 whose top-weight terms are each 0.7 of the
+        # largest double at t = 0.1062: every term fits, their sum does not
+        spec = LengthSpectrum.build([GeodesicEntry(2.0, 0.0, 1, 1),
+                                     GeodesicEntry(2.0 + 1e-12, 0.0, 1, 1)], 2.5)
+        gauss = 1.0 / math.sqrt(4 * math.pi * 0.1062)
+        top = 2.0 * gauss * math.exp(359 * 2.0 - 1.0 / 0.1062) / (1.0 - math.exp(-2.0)) ** 2
+        assert 0.5 * sys.float_info.max < top < sys.float_info.max
+        with pytest.raises(DomainError, match=r"^m=720 is too large: .* length 2\.000000000001$"):
+            heat_trace_geometric(spec, invariants, 720, 0, 0.1062, EvalParams(2.5))
+
+    def test_refuses_m_past_the_work_limit_on_an_empty_table(self, small_spec, invariants):
+        # no power below l_cut: nothing overflows, so only the limit stops the
+        # m + 1 weight rows
+        params = EvalParams(0.1)
+        table = powers_up_to(small_spec, 0.1)
+        assert len(table) == 0
+        assert heat_trace_geometric(small_spec, invariants, 1000, 0, 1.0,
+                                    params).hyperbolic_term == 0j
+        _weight_budget(POWER_BUDGET - 1, table)  # (m + 1) x 1 row is the budget itself
+        with pytest.raises(DomainError, match=rf"^m={POWER_BUDGET} is too large: "
+                                              rf"{POWER_BUDGET + 1} weights over 0 power rows"):
+            heat_trace_geometric(small_spec, invariants, POWER_BUDGET, 0, 1.0, params)
 
 
 class TestSmallTimeFit:

@@ -54,6 +54,14 @@ def row_blocks(draw):
 
 @pytest.mark.filterwarnings("error")
 class TestFsumRows:
+    @pytest.fixture(autouse=True, scope="class")
+    def kernel_on_every_row(self):
+        # the numpy kernel is under test here: no row takes the short-row
+        # math.fsum route (test_callers_on_both_sides_of_the_crossover covers it)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "FSUM_ROWS_MIN", 1)
+            yield
+
     @settings(max_examples=250, deadline=None)
     @given(row_blocks())
     def test_matches_math_fsum(self, rows):
@@ -132,7 +140,7 @@ class TestFsumRows:
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [1, FSUM_ROWS_MIN - 1, FSUM_ROWS_MIN, 5 * FSUM_ROWS_MIN])
-def test_callers_on_both_sides_of_the_crossover(n):
+def test_callers_on_both_sides_of_the_crossover(monkeypatch, n):
     rng = np.random.default_rng(n)
     re = rng.standard_normal(n) * np.exp(rng.uniform(-30.0, 30.0, n))
     im = rng.standard_normal(n)
@@ -140,3 +148,18 @@ def test_callers_on_both_sides_of_the_crossover(n):
     got = fsum_complex((re + 1j * im).reshape(1, -1))
     assert got.real.hex() == math.fsum(re.tolist()).hex()
     assert got.imag.hex() == math.fsum(im.tolist()).hex()
+    want = [math.fsum(re.tolist()).hex(), math.fsum(im.tolist()).hex()]
+    calls = []
+
+    class CountingFsum:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def fsum(self, terms):
+            calls.append(len(terms))
+            return math.fsum(terms)
+
+    # short rows go to math.fsum; from the crossover on the kernel sums them
+    monkeypatch.setattr(numerics, "math", CountingFsum())
+    assert [v.hex() for v in fsum_rows(np.stack((re, im)))] == want
+    assert calls == ([n, n] if n < FSUM_ROWS_MIN else [])

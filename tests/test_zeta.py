@@ -5,6 +5,7 @@ import random
 import pytest
 
 from geozeta import zeta
+from geozeta.heattrace import heat_trace_geometric
 from geozeta.identities import selberg_rho_bruteforce, selberg_sigma_bruteforce
 from geozeta.spectrum import (GeodesicEntry, GrowthModel, LengthSpectrum, flip_spins,
                               powers_up_to)
@@ -206,7 +207,8 @@ def assert_direct_matches_layer_loop(spec, parity, n, s, p):
 
 
 class TestZografBlocks:
-    """The direct path sums its k-layers in blocks; the per-layer loop is the reference."""
+    """The log-series kernel sums its rows in blocks: the Zograf direct path's
+    k-layers against the per-layer loop, the heat trace's weights against one block."""
 
     @pytest.mark.parametrize("parity,n", [("even", 3), ("even", 1), ("odd", 2), ("odd", 0)])
     def test_fixtures_match_the_layer_loop(self, small_spec, medium_spec, parity, n):
@@ -224,6 +226,20 @@ class TestZografBlocks:
             rows = len(powers_up_to(spec, p.l_cut))
             monkeypatch.setattr(zeta, "ZOGRAF_BLOCK", per_block * rows + rows - 1)
             assert_direct_matches_layer_loop(spec, parity, n, 0.5 + 0.2j, p)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("form", [0, 1])
+    def test_heat_trace_block_boundaries(self, monkeypatch, small_spec, medium_spec, invariants,
+                                         per_block, form):
+        # m = 4 has 5 weight rows: each blocking must sum to the bits of one block
+        for spec in (small_spec, medium_spec):
+            p = EvalParams.for_spectrum(spec)
+            rows = len(powers_up_to(spec, p.l_cut))
+            monkeypatch.setattr(zeta, "ZOGRAF_BLOCK", 5 * rows)
+            want = heat_trace_geometric(spec, invariants, 4, form, 0.7, p).hyperbolic_term
+            monkeypatch.setattr(zeta, "ZOGRAF_BLOCK", per_block * rows + rows - 1)
+            got = heat_trace_geometric(spec, invariants, 4, form, 0.7, p).hyperbolic_term
+            assert same_bits(got, want)
 
     def test_long_table_two_layers_per_block(self):
         # 1400 unoriented entries: over 6000 powers, so the budget takes two
