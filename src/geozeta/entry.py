@@ -2,26 +2,24 @@
 
 ``python -m geozeta`` and the installed ``geozeta`` script both call
 ``main``.  ``COMMANDS`` is the command table: each command's help line and
-the module and name of its argument-setup function.  ``main`` builds only
-the named command's parser, with the prog of ``cli``'s subparser, so a run
-imports only the modules that command runs:
+the module and name of its argument-setup function.  ``main`` parses with
+the one ``geozeta`` parser, a subparser per command, and sets up only the
+subparser of the command named, so a run imports only the modules that
+command runs:
 
 - ``validate`` is served here, over the parsers of ``spectrum`` and
   ``continuation``, which import no numpy: it loads neither numpy nor any
   evaluator module and costs little more than the interpreter's own start-up;
 - ``eval``, ``verify``, ``predict-torsion`` and ``heat-trace`` are set up and
   run by ``commands``, whose command functions import their evaluator modules
-  when they run.
+  when they run;
+- no command, an unknown command and a top-level ``-h`` set up no command and
+  load no evaluator module.
 
-Everything else - no command, an unknown command, a top-level ``-h``, or
-arguments a command does not recognize - goes to ``cli.main``, whose parser
-composes the same setup functions and so words every usage error the same.
-
-What both routes share lives here: the input loaders, the input options
+What every command shares lives here: the input loaders, the input options
 every command takes, ``cmd_validate`` and ``run`` (the mapping of input
-errors to one line and exit status 2), so a command prints the same bytes
-and exits with the same status either way.  ``continuation`` is imported
-only when an invariants file is read.
+errors to one line and exit status 2).  ``continuation`` is imported only
+when an invariants file is read.
 """
 
 from __future__ import annotations
@@ -179,15 +177,22 @@ def command_arguments(command: str):
     return getattr(__import__(module, globals(), None, (name,), 1), name)
 
 
+def build_parser(command: str | None) -> ArgumentParser:
+    """The ``geozeta`` parser: a subparser per command, only ``command``'s set up."""
+    parser = ArgumentParser(
+        prog="geozeta",
+        description="Geodesic zeta functions of closed hyperbolic 3-manifolds: "
+                    "evaluation, identity verification, torsion prediction.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == command:
+            command_arguments(name)(sp)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        # the prog of cli's subparser, so usage, help and errors read the same
-        parser = ArgumentParser(prog=f"geozeta {argv[0]}")
-        command_arguments(argv[0])(parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return run(args)
-        # cli's top-level parser words the unrecognized-arguments error
-    from . import cli
-    return cli.main(argv)
+    # argparse runs the first command named (any word before it is refused)
+    command = next((arg for arg in argv if arg in COMMANDS), None)
+    return run(build_parser(command).parse_args(argv))

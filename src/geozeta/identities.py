@@ -10,6 +10,11 @@ check, the exact Gaussian-rational oracle last, with the parameters it reads
 and its battery parameters; the battery and the CLI both run from it, and
 every check reports as one ``IdentityReport``.
 
+The three Zograf checks (``zograf-ratio``, ``corollary-FG`` and
+``main-theorem``) take a parity, read once as h (0 for F_n, 1 for G_n, by
+``torsion.parity_h``), and each is written once in n, h and the symmetric
+power m = 2n - 2 + h that the main theorem pairs with F_n or G_n.
+
 The two oracles never read the power table the closed-form evaluators share.
 The brute-force oracle multiplies out the literal (p, q) double product: per
 primitive class one array row holds every factor, its logs come from
@@ -73,8 +78,9 @@ from .numerics import fsum_complex, fsum_rows, log1m_array
 from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
                        powers_up_to)
 # the predictor lives in ``torsion``; its names stay importable from here
-from .torsion import TorsionPrediction, predict_torsion_ratio, theta_even, theta_odd  # noqa: F401
-from .zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma,
+from .torsion import (TorsionPrediction, parity_h, predict_torsion_ratio,  # noqa: F401
+                      theta_even, theta_odd)
+from .zeta import (EvalParams, _weight_budget, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
 RESIDUAL_FLOOR = 1e-14
@@ -343,60 +349,43 @@ def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
 def verify_zograf_ratio(spec: LengthSpectrum, n: int, parity: str, grid=None,
                         p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
     """Zograf product: direct k-truncation vs. the two-Selberg ratio form, on
-    Re(s) > 2 - n (even) or 3/2 - n (odd), where both converge."""
+    Re(s) > 2 - n - h/2, where both converge."""
     p = p or EvalParams.for_spectrum(spec)
-    if parity == "even":
-        grid = grid if grid is not None else default_grid(3.0 - n)
-        evaluator, re_min = zograf_F, 2.0 - n
-    elif parity == "odd":
-        grid = grid if grid is not None else default_grid(3.5 - n)
-        evaluator, re_min = zograf_G, 1.5 - n
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    h = parity_h(parity)
+    grid = grid if grid is not None else default_grid((3.0 + h / 2) - n)
+    evaluator = (zograf_F, zograf_G)[h]
 
     def point(s: complex):
         direct = evaluator(spec, n, s, p, method="direct")
         ratio = evaluator(spec, n, s, p, method="ratio")
         return relative_residual(direct.value, ratio.value), direct.flags + ratio.flags
 
-    return _run_grid("zograf-ratio", grid, point, tol, (f"n={n}", parity), re_min)
+    return _run_grid("zograf-ratio", grid, point, tol, (f"n={n}", parity), (2.0 - h / 2) - n)
 
 
 def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
                         p: EvalParams | None = None, tol: float = 1e-8) -> IdentityReport:
-    """F_n(s)^2 R_rho_{2(n-1)}(s) (or the G_n odd analogue) as a four-Selberg quotient.
+    """F_n(s)^2 R_rho_m(s) (or the G_n odd analogue), m = 2n - 2 + h, as the
+    four-Selberg quotient of weights m, -(m+2), -m and m+2.
 
     The Zograf side uses the direct k-product so the two routes stay independent.
     """
     p = p or EvalParams.for_spectrum(spec)
-    if parity == "even":
-        m = 2 * (n - 1)
-        grid = grid if grid is not None else default_grid(n + 2.0)
-        re_min = n + 1.0
-    elif parity == "odd":
-        m = 2 * n - 1
-        grid = grid if grid is not None else default_grid(n + 2.5)
-        re_min = n + 1.5
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    h = parity_h(parity)
+    m = 2 * n - 2 + h
+    grid = grid if grid is not None else default_grid(n + (2.0 + h / 2))
+    zograf = (zograf_F, zograf_G)[h]
 
     def point(s: complex):
-        if parity == "even":
-            f = zograf_F(spec, n, s, p, method="direct")
-            log_rhs = (selberg_sigma(spec, 2 * (n - 1), s - n + 1, p).log_value
-                       + selberg_sigma(spec, -2 * n, s + n, p).log_value
-                       - selberg_sigma(spec, -2 * (n - 1), s + n + 1, p).log_value
-                       - selberg_sigma(spec, 2 * n, s - n + 2, p).log_value)
-        else:
-            f = zograf_G(spec, n, s, p, method="direct")
-            log_rhs = (selberg_sigma(spec, 2 * n - 1, s - n + 0.5, p).log_value
-                       + selberg_sigma(spec, -(2 * n + 1), s + n + 0.5, p).log_value
-                       - selberg_sigma(spec, -(2 * n - 1), s + n + 1.5, p).log_value
-                       - selberg_sigma(spec, 2 * n + 1, s - n + 1.5, p).log_value)
+        f = zograf(spec, n, s, p, method="direct")
+        log_rhs = (selberg_sigma(spec, m, s - n + (1 - h / 2), p).log_value
+                   + selberg_sigma(spec, -(m + 2), s + n + h / 2, p).log_value
+                   - selberg_sigma(spec, -m, s + n + (1 + h / 2), p).log_value
+                   - selberg_sigma(spec, m + 2, s - n + (2 - h / 2), p).log_value)
         lhs = cmath.exp(2.0 * f.log_value + ruelle_rho(spec, m, s, p).log_value)
         return relative_residual(lhs, cmath.exp(log_rhs)), f.flags
 
-    return _run_grid("corollary-FG", grid, point, tol, (f"n={n}", parity), re_min)
+    return _run_grid("corollary-FG", grid, point, tol, (f"n={n}", parity), n + (1.0 + h / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +486,8 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
                           parity: str, p: EvalParams | None = None, tol: float = 1e-9,
                           claimed: ManifoldInvariants | None = None,
                           reference_spectrum: LengthSpectrum | None = None) -> IdentityReport:
-    """Special value of F_n(s)^4 R^2 (or G_n(s)^4 R^2) at s = 0 versus its closed form.
+    """Special value of F_n(s)^4 R^2 (or G_n(s)^4 R^2), R = R_rho_m with
+    m = 2n - 2 + h, at s = 0 versus its closed form.
 
     The left side is the squared four-Selberg quotient with the two
     divergent-argument factors reflected; the two same-argument quotients at
@@ -517,28 +507,17 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     p = p or EvalParams.for_spectrum(spec)
     cl = claimed if claimed is not None else inv
     ref = reference_spectrum if reference_spectrum is not None else spec
-    if parity == "even":
-        if n < 3:
-            raise DomainError(f"n={n} below threshold for the even main theorem (n >= 3)")
-        m = 2 * (n - 1)
-        log_lhs = 2.0 * (selberg_anywhere(ref, inv, m, 1.0 - n, p).log_value
-                         + selberg_anywhere(spec, inv, -2 * n, float(n), p).log_value
-                         - selberg_anywhere(spec, inv, -m, n + 1.0, p).log_value
-                         - selberg_anywhere(ref, inv, 2 * n, 2.0 - n, p).log_value)
-        log_rhs = (-(2.0 / math.pi) * (2 * n * n - 2 * n + 1.0 / 3.0) * cl.volume
-                   - 2j * math.pi * (eta_lookup(cl, 2 * n) - eta_lookup(cl, m)))
-    elif parity == "odd":
-        if n < 2:
-            raise DomainError(f"n={n} below threshold for the odd main theorem (n >= 2)")
-        m = 2 * n - 1
-        log_lhs = 2.0 * (selberg_anywhere(ref, inv, m, 0.5 - n, p).log_value
-                         + selberg_anywhere(spec, inv, -(2 * n + 1), n + 0.5, p).log_value
-                         - selberg_anywhere(spec, inv, -m, n + 1.5, p).log_value
-                         - selberg_anywhere(ref, inv, 2 * n + 1, 1.5 - n, p).log_value)
-        log_rhs = (-(2.0 / math.pi) * (2 * n * n - 1.0 / 6.0) * cl.volume
-                   - 2j * math.pi * (eta_lookup(cl, 2 * n + 1) - eta_lookup(cl, m)))
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    h = parity_h(parity)
+    if n < 3 - h:
+        raise DomainError(f"n={n} below threshold for the {parity} main theorem (n >= {3 - h})")
+    m = 2 * n - 2 + h
+    log_lhs = 2.0 * (selberg_anywhere(ref, inv, m, (1.0 - h / 2) - n, p).log_value
+                     + selberg_anywhere(spec, inv, -(m + 2), n + h / 2, p).log_value
+                     - selberg_anywhere(spec, inv, -m, n + (1.0 + h / 2), p).log_value
+                     - selberg_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p).log_value)
+    coeff = (2 * n * n - 2 * n + 1.0 / 3.0, 2 * n * n - 1.0 / 6.0)[h]
+    log_rhs = (-(2.0 / math.pi) * coeff * cl.volume
+               - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))
     # log-domain comparison: the closed form is e^(-O(n^2) Vol), far below any
     # absolute floor, so the residual must stay scale free
     residual = log_relative_residual(log_lhs, log_rhs)
@@ -659,17 +638,31 @@ def run_identity(identity_id: str, spec: LengthSpectrum | None,
                  inv: ManifoldInvariants | None, p: EvalParams | None = None,
                  tol: float = 1e-8, **params) -> IdentityReport:
     """One registered check.  Its parameters are checked before any grid point
-    runs, so a bad index raises ``ValueError`` instead of erroring every point."""
+    runs, so a bad index raises ``ValueError`` instead of erroring every point,
+    and so does an m (for corollary-FG, m = 2n - 2 + h) whose m + 1 weight rows
+    over the power table pass the work limit (``zeta._weight_budget``); a table
+    that itself passes the limit is left to the grid points."""
     entry = IDENTITIES[identity_id]
-    if params.get("m", 0) < 0:
-        raise ValueError(f"{identity_id} needs m >= 0, got {params['m']}")
+    m = params.get("m")
+    if m is not None and m < 0:
+        raise ValueError(f"{identity_id} needs m >= 0, got {m}")
     if entry.n_min is not None:
-        least = entry.n_min[params["parity"] == "odd"]
+        h = parity_h(params["parity"])
+        least = entry.n_min[h]
         if params["n"] < least:
             raise ValueError(f"{identity_id} with {params['parity']} parity needs "
                              f"n >= {least}, got {params['n']}")
+        if identity_id == "corollary-FG":
+            m = 2 * params["n"] - 2 + h
     if params.get("samples", 1) < 1:
         raise ValueError(f"{identity_id} needs samples >= 1, got {params['samples']}")
+    if m is not None:
+        try:
+            table = powers_up_to(spec, (p or EvalParams.for_spectrum(spec)).l_cut)
+        except DomainError:
+            pass  # a table past the budget is reported at each grid point
+        else:
+            _weight_budget(m, table)
     return entry.run(spec, inv, p, max(tol, entry.tol_floor), **params)
 
 

@@ -4,10 +4,13 @@ From a length spectrum and the supplied volume, Chern-Simons and eta
 invariants, ``predict_torsion_ratio`` assembles the predicted power of the
 ratio of the zero-eigensection torsion to the Reidemeister torsion: the
 complex-volume exponential, the eta anomaly (``theta_even``/``theta_odd``)
-and the Zograf product F_n(0) or G_n(0).  It reads only ``zeta`` and the
-invariants, so ``geozeta predict-torsion`` loads neither the identity
-checks, the exact oracle nor the battery's fork machinery;
-``identities.main_theorem_residual`` checks the same theorem.
+and the Zograf product F_n(0) or G_n(0).  The two parities are the members
+h = 0 and h = 1 of one Zograf family (``parity_h`` reads the parity as h),
+paired with the symmetric power m = 2n - 2 + h; the prediction needs
+n >= 3 - h.  It reads only ``zeta`` and the invariants, so
+``geozeta predict-torsion`` loads neither the identity checks, the exact
+oracle nor the battery's fork machinery; ``identities.main_theorem_residual``
+checks the same theorem.
 """
 
 from __future__ import annotations
@@ -19,6 +22,13 @@ from dataclasses import dataclass
 from .continuation import ComplexVolume, ManifoldInvariants, eta_lookup
 from .spectrum import DomainError, LengthSpectrum
 from .zeta import EvalParams, zograf_F, zograf_G
+
+
+def parity_h(parity: str) -> int:
+    """h of the Zograf family: 0 for even parity (F_n), 1 for odd (G_n)."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return int(parity == "odd")
 
 
 def theta_even(inv: ManifoldInvariants, n: int) -> float:
@@ -61,29 +71,22 @@ def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     """
     p = p or EvalParams.for_spectrum(spec)
     cv = inv.complex_volume
-    if parity == "even":
-        if n < 3:
-            raise DomainError(
-                f"n={n} below threshold: s=0 outside convergence domain; "
-                "use special-case evaluator")
-        theta = theta_even(inv, n)
-        f = zograf_F(spec, n, 0.0, p)
+    h = parity_h(parity)
+    if n < 3 - h:
+        raise DomainError(
+            f"n={n} below threshold: s=0 outside convergence domain; "
+            "use special-case evaluator")
+    theta = (theta_even, theta_odd)[h](inv, n)
+    f = (zograf_F, zograf_G)[h](spec, n, 0.0, p)
+    if h == 0:
         coeff = 6 * n * n - 6 * n + 1
         value = (cmath.exp(6j * math.pi * theta)
                  * cmath.exp((2.0 / math.pi) * coeff * complex(cv.re, cv.im))
                  * f.value ** 12)
-        return TorsionPrediction(n, parity, value, theta, f.value, cv)
-    if parity == "odd":
-        if n < 2:
-            raise DomainError(
-                f"n={n} below threshold: s=0 outside convergence domain; "
-                "use special-case evaluator")
-        theta = theta_odd(inv, n)
-        g = zograf_G(spec, n, 0.0, p)
+    else:
         coeff = 2 * n * n - 1.0 / 6.0
         im_part = 3.0 * math.pi * math.pi * eta_lookup(inv, 1)
         value = (cmath.exp(2j * math.pi * theta)
                  * cmath.exp((2.0 / math.pi) * coeff * complex(inv.volume, im_part))
-                 * g.value ** 4)
-        return TorsionPrediction(n, parity, value, theta, g.value, cv)
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+                 * f.value ** 4)
+    return TorsionPrediction(n, parity, value, theta, f.value, cv)

@@ -1,6 +1,13 @@
 """Truncated Euler products: weight-k Ruelle and Selberg zeta functions,
 their symmetric-power twists, and the even/odd Zograf infinite products.
 
+The two Zograf products are one family,
+prod_{k>=n} R(sigma_{-(2k+h)}, s + k + h/2): F_n for h = 0 and G_n for h = 1.
+``_zograf`` evaluates it from (n, h) alone, through the Selberg ratio
+Z(sigma_{-(2n+h)}, s+n+h/2) / Z(sigma_{-(2n-2+h)}, s+n+1+h/2) or the direct
+k-layer sum, on the domain Re(s) > 2 - n - h/2; ``zograf_F`` and ``zograf_G``
+name its two members.
+
 Every evaluator sums the log of its product over the deterministic power
 enumeration (ascending total length, ties by class index then power),
 truncated at total length l_cut, and exponentiates once at the end.  One
@@ -249,28 +256,34 @@ def selberg_rho(spec: LengthSpectrum, m: int, k: int, s: complex, p: EvalParams)
     return _combine(p, factors, [], s.real > 2.0 + m / 2)
 
 
-def _zograf(spec: LengthSpectrum, s: complex, p: EvalParams, method: str,
-            in_domain: bool, ratio_ok: bool, ratio_factors, layer_char, layer_shift) -> ZetaValue:
+def _zograf(spec: LengthSpectrum, n: int, h: int, s: complex, p: EvalParams,
+            method: str) -> ZetaValue:
+    # prod_{k>=n} R(sigma_{-(2k+h)}, s+k+h/2): F_n for h = 0, G_n for h = 1
+    if n < 1 - h:
+        raise ValueError(f"n must be >= {1 - h}, got {n}")
+    s = complex(s)
+    in_domain = s.real > (2.0 - h / 2) - n
     if method == "auto":
-        method = "ratio" if ratio_ok else "direct"
+        method = "ratio" if s.real + n + h / 2 > 2.0 else "direct"
     if method == "ratio":
-        num, den = ratio_factors()
+        num = selberg_sigma(spec, -(2 * n + h), s + n + h / 2, p)
+        den = selberg_sigma(spec, -(2 * (n - 1) + h), s + n + (1 + h / 2), p)
         return _combine(p, [num], [den], in_domain, (FLAG_RATIO,))
     if method != "direct":
         raise ValueError(f"method must be 'auto', 'ratio' or 'direct', got {method!r}")
     table = powers_up_to(spec, p.l_cut)
     k_top = _k_top(spec)
-    # the literal k-layer sum, one log-series row per layer
+    # the literal k-layer sum, one log-series row per layer k = n + j
     js = range(k_top + 1)
-    log_value = fsum_complex(np.array(
-        _log_series(table, [layer_char(j) for j in js], [s + layer_shift(j) for j in js])))
+    log_value = fsum_complex(np.array(_log_series(
+        table, [-(2 * (n + j) + h) for j in js], [s + (n + j + h / 2) for j in js])))
     # remaining k-layers bounded by a geometric series in e^-L
     k_tail = fsum_real(table.weight * np.exp(-s.real * table.length)
-                       * np.exp(-layer_shift(k_top + 1) * table.length)
+                       * np.exp(-(n + k_top + 1 + h / 2) * table.length)
                        / (1.0 - np.exp(-table.length)))
-    # layer k sits at exponent Re(s) + layer_shift(k), up to the top layer's
-    return _finish(spec, p, log_value, s.real + layer_shift(0), in_domain, extra_bound=k_tail,
-                   flags=(FLAG_DIRECT,), re_top=s.real + layer_shift(k_top))
+    # layer k sits at exponent Re(s) + k + h/2, up to the top layer's
+    return _finish(spec, p, log_value, s.real + (n + h / 2), in_domain, extra_bound=k_tail,
+                   flags=(FLAG_DIRECT,), re_top=s.real + (n + k_top + h / 2))
 
 
 @lru_cache(maxsize=128)
@@ -287,18 +300,7 @@ def zograf_F(spec: LengthSpectrum, n: int, s: complex, p: EvalParams,
     whenever both arguments converge, else by direct truncation of the k-product
     with the k-tail folded into the error bound.  ``method`` forces a path.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    s = complex(s)
-    in_domain = s.real > 2.0 - n
-    ratio_ok = s.real + n > 2.0
-
-    def ratio_factors():
-        return (selberg_sigma(spec, -2 * n, s + n, p),
-                selberg_sigma(spec, -2 * (n - 1), s + n + 1, p))
-
-    return _zograf(spec, s, p, method, in_domain, ratio_ok, ratio_factors,
-                   layer_char=lambda j: -2 * (n + j), layer_shift=lambda j: n + j)
+    return _zograf(spec, n, 0, s, p, method)
 
 
 def zograf_G(spec: LengthSpectrum, n: int, s: complex, p: EvalParams,
@@ -308,15 +310,4 @@ def zograf_G(spec: LengthSpectrum, n: int, s: complex, p: EvalParams,
 
     Ratio form: Z(sigma_{-(2n+1)}, s+n+1/2) / Z(sigma_{-(2n-1)}, s+n+3/2).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    s = complex(s)
-    in_domain = s.real > 1.5 - n
-    ratio_ok = s.real + n + 0.5 > 2.0
-
-    def ratio_factors():
-        return (selberg_sigma(spec, -(2 * n + 1), s + n + 0.5, p),
-                selberg_sigma(spec, -(2 * n - 1), s + n + 1.5, p))
-
-    return _zograf(spec, s, p, method, in_domain, ratio_ok, ratio_factors,
-                   layer_char=lambda j: -(2 * (n + j) + 1), layer_shift=lambda j: n + j + 0.5)
+    return _zograf(spec, n, 1, s, p, method)

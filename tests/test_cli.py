@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from geozeta import entry, exact, fixtures, identities, spectrum, zeta
-from geozeta.cli import (GRID_POINTS_MAX, IDENTITY_CHOICES, SAMPLES_MAX, _emit, _strict,
-                         build_parser, main)
+from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, SAMPLES_MAX, _emit, _strict, main
 from geozeta.continuation import serialize_invariants
 from geozeta.heattrace import heat_trace_geometric
 from geozeta.identities import IDENTITIES, predict_torsion_ratio, verify_ruelle_decomposition
@@ -461,6 +460,35 @@ def test_ruelle_rho_m_past_the_work_limit_exits_2(spec_file, capsys):
                    "exceed the power budget of 1000000\n")
 
 
+@pytest.mark.parametrize("argv, m", [
+    (["--identity", "four-selberg", "--m", "100000000"], 100000000),
+    (["--identity", "corollary-FG", "--n", "100000000", "--parity", "even"], 199999998),
+    (["--identity", "corollary-FG", "--n", "100000000", "--parity", "odd"], 199999999),
+    # the brute-force oracle would first build 577 MiB of factors
+    (["--identity", "selberg-rho-dec", "--m", "100000"], 100000),
+], ids=["four-selberg", "corollary-FG-even", "corollary-FG-odd", "selberg-rho-dec"])
+def test_verify_m_past_the_work_limit_exits_2(spec_file, capsys, argv, m):
+    assert entry.main(["verify", "--spectrum", spec_file, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: m={m} is too large: {m + 1} weights over 15 power rows "
+                   "exceed the power budget of 1000000\n")
+
+
+def test_verify_on_a_table_past_the_work_limit_flags_every_point(tmp_path, capsys):
+    # the table itself is refused, so the check reports it at each grid point
+    spec = tmp_path / "tiny.json"
+    spec.write_text(json.dumps({"label": "tiny", "oriented": True, "l_max": 12.0,
+                                "entries": [{"length": 1e-6, "angle": 0.5, "spin_sign": 1,
+                                             "multiplicity": 1}]}))
+    assert entry.main(["verify", "--spectrum", str(spec), "--identity", "four-selberg",
+                       "--m", "1"]) == 1
+    doc = strict_loads(capsys.readouterr().out)
+    assert len(doc["points"]) == 8
+    assert all(pt["flags"][0].startswith("error: power budget exceeded: l_cut 12.0 needs "
+                                         "12000000 powers") for pt in doc["points"])
+
+
 def test_an_overflowing_trace_flags_every_point(spec_file, capsys):
     # rho_25 traces of the fixture's longer powers pass 1e308
     assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", "25",
@@ -576,12 +604,17 @@ def _options(parser) -> set[str]:
     return {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
 
 
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_command_takes_only_the_options_it_reads():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert {command: _options(parser) for command, parser in sub.choices.items()} \
-        == COMMAND_OPTIONS
+    assert {command: _options(_subparsers(entry.build_parser(command))[command])
+            for command in entry.COMMANDS} == COMMAND_OPTIONS
     assert [len(options) for options in COMMAND_OPTIONS.values()] == [5, 14, 16, 9, 12]
-    # the validate parser entry.main builds without this module takes the same
-    validate = entry.ArgumentParser(prog="geozeta validate")
-    entry.validate_arguments(validate)
-    assert _options(validate) == COMMAND_OPTIONS["validate"]
+    # the parser entry.main builds for one command sets up no other
+    for command in (None, *entry.COMMANDS):
+        subparsers = _subparsers(entry.build_parser(command))
+        assert list(subparsers) == list(entry.COMMANDS)
+        assert [name for name, sp in subparsers.items() if _options(sp)] \
+            == ([] if command is None else [command])

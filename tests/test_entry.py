@@ -1,9 +1,10 @@
 """The entry point's command table and the lazy package exports.
 
 ``geozeta validate`` must start without numpy or any evaluator module, every
-command must load only the modules it runs, and each must behave exactly as
-the full CLI does; ``import geozeta.cli`` must still load every module a
-function-wrapping tracer patches.
+command must load only the modules it runs, and a run in a fresh process,
+loading only those, must behave exactly as the same call to ``cli.main`` in
+this process, where every module is loaded; ``import geozeta.cli`` must still
+load every module a function-wrapping tracer patches.
 """
 
 import importlib
@@ -114,8 +115,9 @@ def _validate_cases(tmp_path):
 
 
 def _both_routes(argv, capsys) -> int:
-    """Run ``argv`` through ``cli.main`` here and ``python -m geozeta`` in a
-    child; assert the same exit status, stdout and stderr, and return the status."""
+    """Run ``argv`` through ``cli.main`` here, with every module loaded, and
+    ``python -m geozeta`` in a child, which loads only what the command runs;
+    assert the same exit status, stdout and stderr, and return the status."""
     try:
         rc = cli.main(argv)
     except SystemExit as exc:  # argparse usage errors and -h
@@ -199,6 +201,16 @@ def test_each_command_loads_only_what_it_runs(command):
     loaded = _imported(proc.stderr)
     assert {"geozeta.entry", "geozeta.commands"} <= loaded
     assert not loaded & set(not_loaded)
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nope"]],
+                         ids=["help", "no-command", "unknown-command"])
+def test_no_command_loads_no_command_module(argv):
+    proc = _python("-X", "importtime", "-m", "geozeta", *argv)
+    assert proc.returncode == (0 if argv == ["-h"] else 2)
+    loaded = _imported(proc.stderr)
+    assert "geozeta.entry" in loaded
+    assert not loaded & {*NOT_ON_VALIDATE, "geozeta.commands", "geozeta.cli"}
 
 
 @pytest.mark.parametrize("command", GOOD_RUNS)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 
@@ -19,7 +20,8 @@ from geozeta.identities import (IDENTITIES, _ruelle_reflected_log, battery_repor
                                 verify_ruelle_functional_equation,
                                 verify_selberg_rho_decomposition, verify_zograf_ratio)
 from geozeta.spectrum import TWO_PI, DomainError, GeodesicEntry, LengthSpectrum, flip_spins
-from geozeta.zeta import EvalParams, ruelle_rho, selberg_rho, selberg_sigma
+from geozeta.zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma, zograf_F,
+                          zograf_G)
 import scalar_reference
 
 EMPTY = LengthSpectrum((), 1.0)
@@ -113,6 +115,41 @@ class TestZografAndCorollary:
     def test_parity_validation(self, small_spec):
         with pytest.raises(ValueError):
             verify_zograf_ratio(small_spec, 3, "both")
+
+
+class TestParityMessages:
+    """The parity-dependent refusals, pinned word for word for both parities."""
+
+    @staticmethod
+    def raises(exc, message):
+        return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+    @pytest.mark.parametrize("n, parity, least", [(2, "even", 3), (1, "odd", 2)])
+    def test_main_theorem_below_threshold(self, small_spec, invariants, n, parity, least):
+        with self.raises(DomainError, f"n={n} below threshold for the {parity} main theorem "
+                                      f"(n >= {least})"):
+            main_theorem_residual(small_spec, invariants, n, parity)
+
+    @pytest.mark.parametrize("n, parity", [(2, "even"), (1, "odd")])
+    def test_predict_torsion_below_threshold(self, small_spec, invariants, n, parity):
+        with self.raises(DomainError, f"n={n} below threshold: s=0 outside convergence "
+                                      "domain; use special-case evaluator"):
+            predict_torsion_ratio(small_spec, invariants, n, parity)
+
+    @pytest.mark.parametrize("zograf, n, least", [(zograf_F, 0, 1), (zograf_G, -1, 0)])
+    def test_zograf_index_below_least(self, small_spec, zograf, n, least):
+        with self.raises(ValueError, f"n must be >= {least}, got {n}"):
+            zograf(small_spec, n, 3.0, EvalParams.for_spectrum(small_spec))
+
+    @pytest.mark.parametrize("check", [
+        lambda spec, inv: verify_zograf_ratio(spec, 3, "both"),
+        lambda spec, inv: verify_corollary_FG(spec, 3, "both"),
+        lambda spec, inv: main_theorem_residual(spec, inv, 3, "both"),
+        lambda spec, inv: predict_torsion_ratio(spec, inv, 3, "both"),
+    ], ids=["zograf-ratio", "corollary-FG", "main-theorem", "predict-torsion"])
+    def test_unknown_parity(self, small_spec, invariants, check):
+        with self.raises(ValueError, "parity must be 'even' or 'odd', got 'both'"):
+            check(small_spec, invariants)
 
 
 class TestRuelleFunctionalEquation:
