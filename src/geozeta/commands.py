@@ -44,6 +44,9 @@ GRID_POINTS_MAX = 10_000
 # Most samples ``verify --samples`` may ask for, refused before any is drawn.
 # The battery draws 1000.
 SAMPLES_MAX = 10_000
+# Largest magnitude of --k, --m and --n: the evaluators mix indices into float
+# arithmetic, and every integer up to it is exact in a double.
+INDEX_MAX = 2 ** 53
 
 
 def _strict(obj):
@@ -60,6 +63,13 @@ def _strict(obj):
     if isinstance(obj, (list, tuple)):
         return [_strict(value) for value in obj]
     return obj
+
+
+def index(text: str) -> int:
+    """The value of an index option: an int of magnitude at most ``INDEX_MAX``."""
+    if abs(value := int(text)) > INDEX_MAX:
+        raise ValueError(text)
+    return value
 
 
 def _csv_number(x: float) -> str:
@@ -218,9 +228,9 @@ def eval_arguments(sp) -> None:
     input_options(sp, invariants=False)
     _evaluating_options(sp)
     sp.add_argument("--kind", required=True, choices=EVAL_KINDS)
-    sp.add_argument("--k", type=int, default=None, help="character weight")
-    sp.add_argument("--m", type=int, default=None, help="symmetric-power index")
-    sp.add_argument("--n", type=int, default=None, help="Zograf product index")
+    sp.add_argument("--k", type=index, default=None, help="character weight")
+    sp.add_argument("--m", type=index, default=None, help="symmetric-power index")
+    sp.add_argument("--n", type=index, default=None, help="Zograf product index")
     sp.add_argument("--s", default=None, help="evaluation point 're,im'")
     sp.add_argument("--grid", default=None, help="'re0,re1,n-points,im'")
     sp.add_argument("--method", default="auto", choices=("auto", "ratio", "direct"),
@@ -277,9 +287,9 @@ def verify_arguments(sp) -> None:
     _evaluating_options(sp)
     sp.add_argument("--tol", type=float, default=1e-8, help="pass tolerance of each identity")
     sp.add_argument("--identity", required=True, choices=IDENTITY_CHOICES)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--n", type=int, default=3)
+    sp.add_argument("--m", type=index, default=0)
+    sp.add_argument("--k", type=index, default=0)
+    sp.add_argument("--n", type=index, default=3)
     sp.add_argument("--parity", default="even", choices=("even", "odd"))
     sp.add_argument("--samples", type=int, default=1000,
                     help="sample count for reflect-involution")
@@ -308,7 +318,7 @@ def predict_torsion_arguments(sp) -> None:
     """Set up the ``predict-torsion`` (sub)parser ``sp``."""
     input_options(sp)
     _evaluating_options(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=index, required=True)
     sp.add_argument("--parity", required=True, choices=("even", "odd"))
     sp.set_defaults(fn=cmd_predict_torsion)
 
@@ -335,7 +345,7 @@ def heat_trace_arguments(sp) -> None:
     """Set up the ``heat-trace`` (sub)parser ``sp``."""
     input_options(sp)
     _evaluating_options(sp)
-    sp.add_argument("--m", type=int, default=0, help="symmetric-power index")
+    sp.add_argument("--m", type=index, default=0, help="symmetric-power index")
     sp.add_argument("--p", type=int, default=0, choices=(0, 1), help="form degree")
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--t-grid", default=None, help="'t0,t1,n-points' geometric grid for --fit")

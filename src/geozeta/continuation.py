@@ -185,7 +185,7 @@ def selberg_anywhere(spec: LengthSpectrum, inv: ManifoldInvariants, k: int,
     s -> s-1; the result is flagged "reflected".  Arguments in the strip
     0 <= Re(s) <= 2 are rejected.
     """
-    from .zeta import FLAG_REFLECTED, ZetaValue, selberg_sigma
+    from .zeta import FLAG_REFLECTED, ZetaValue, _exp, selberg_sigma
 
     s = complex(s)
     if s.real > 2.0:
@@ -193,7 +193,7 @@ def selberg_anywhere(spec: LengthSpectrum, inv: ManifoldInvariants, k: int,
     if s.real < 0.0:
         base = selberg_sigma(spec, -k, 2.0 - s, p)
         log_value = reflection_log_factor(inv, k, s - 1.0) + base.log_value
-        return ZetaValue(cmath.exp(log_value), log_value, base.abs_error_bound,
+        return ZetaValue(_exp(log_value), log_value, base.abs_error_bound,
                          base.heuristic_bound, False, base.l_cut,
                          base.flags + (FLAG_REFLECTED,))
     raise DomainError(

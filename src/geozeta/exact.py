@@ -13,12 +13,10 @@ anywhere, so a failure is a formula bug, never noise.
 Reflection and functional-equation identities are out of reach here: they
 involve transcendental exp(Vol ...) factors.
 
-A Gaussian rational is stored as three Python ints (a + b i) / d with d > 0.
-Arithmetic leaves its result unreduced; the triple is brought to lowest
-terms (so equality is a comparison of triples) the first time it is read,
-compared, hashed or printed.  Of the values the battery builds, only the two
-sides of each ledger term are ever compared, so it computes one gcd per side
-where it used to compute one per operation.
+A Gaussian rational is stored as three Python ints (a + b i) / d with d > 0,
+and has that one state: arithmetic leaves its result unreduced and nothing
+reduces it in place.  Equality cross-multiplies two raw triples, so deciding
+a ledger term computes no gcd; only ``hash`` reduces, into a new triple.
 
 Where an identity's two sides share a factor, they build it by different
 routes (selberg-rho-dec sums the double product's two geometric series on
@@ -47,69 +45,45 @@ from typing import Sequence
 
 from .spectrum import GeodesicEntry, LengthSpectrum
 
-Rational = Fraction
-
 
 class GaussianRational:
     """Element (a + b i) / d of Q(i) with exact field arithmetic.
 
     The value is held as one triple of Python ints with d > 0.  ``+ - * /
     **`` build their result's triple with a few integer products and no gcd,
-    so a result is not in lowest terms in general.  The triple is brought
-    to lowest terms (gcd(a, b, d) = 1), once, when something reads it:
-    ``_a``/``_b``/``_d``, ``re``, ``im``, ``==``, ``hash``, ``str`` and
-    ``repr``; the reduced triple then replaces the raw one, so later
-    operations on the value work with the smaller integers.  That form is
-    canonical, so == and hash are exact.  ``re`` and ``im`` read back as
-    Fractions; int and Fraction operands mix in on the right of + - / and
-    either side of *.
+    so a result is not in lowest terms in general, and it stays as built.
+    ``==`` cross-multiplies the two triples (x/e = a/d when x d = a e and
+    y d = b e), with no gcd.  ``hash`` reads the lowest-terms triple
+    (gcd(a, b, d) = 1), which is canonical, so equal values hash alike.
+    ``re`` and ``im`` read back as Fractions; int and Fraction operands mix in
+    on the right of + - / and either side of *.
     """
 
-    __slots__ = ("_t", "_canon")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0) -> None:
         re, im = Fraction(re), Fraction(im)
-        # over the lcm of two reduced denominators the triple is already coprime
         d = math.lcm(re.denominator, im.denominator)
         self._t = (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
-        self._canon = True
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
         return cls(re, im)
 
     def _lowest(self) -> tuple[int, int, int]:
-        # the canonical triple; computed once, then kept in place of the raw one
-        if self._canon:
-            return self._t
+        # the triple in lowest terms, leaving the held one as it is
         a, b, d = self._t
         g = math.gcd(a, b, d)
-        t = (a // g, b // g, d // g) if g != 1 else self._t
-        # the value is unchanged, so a reader of the raw triple sees either form
-        self._t = t
-        self._canon = True
-        return t
-
-    @property
-    def _a(self) -> int:
-        return self._lowest()[0]
-
-    @property
-    def _b(self) -> int:
-        return self._lowest()[1]
-
-    @property
-    def _d(self) -> int:
-        return self._lowest()[2]
+        return (a // g, b // g, d // g)
 
     @property
     def re(self) -> Fraction:
-        a, _, d = self._lowest()
+        a, _, d = self._t
         return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        _, b, d = self._lowest()
+        _, b, d = self._t
         return Fraction(b, d)
 
     def __add__(self, other):
@@ -128,7 +102,7 @@ class GaussianRational:
 
     def __neg__(self) -> "GaussianRational":
         a, b, d = self._t
-        return _raw(-a, -b, d, self._canon)
+        return _raw(-a, -b, d)
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
@@ -171,14 +145,16 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self._lowest() == other._lowest()
+        x, y, e = self._t
+        a, b, d = other._t
+        return x * d == a * e and y * d == b * e
 
     def __hash__(self) -> int:
         return hash(self._lowest())
 
     def conj(self) -> "GaussianRational":
         a, b, d = self._t
-        return _raw(a, -b, d, self._canon)
+        return _raw(a, -b, d)
 
     def norm2(self) -> Fraction:
         a, b, d = self._t
@@ -200,20 +176,19 @@ class GaussianRational:
         return f"({self.re})+({self.im})i"
 
 
-def _raw(a: int, b: int, d: int, canon: bool = False) -> GaussianRational:
-    # wrap the triple (a + b i) / d, d > 0; ``canon`` says it is in lowest terms
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    # wrap the triple (a + b i) / d, d > 0
     z = object.__new__(GaussianRational)
     z._t = (a, b, d)
-    z._canon = canon
     return z
 
 
 def _lift(value) -> GaussianRational:
-    # an int or Fraction operand, as a canonical GaussianRational
+    # an int or Fraction operand, as a GaussianRational
     if isinstance(value, int):
-        return _raw(value, 0, 1, True)
+        return _raw(value, 0, 1)
     value = Fraction(value)
-    return _raw(value.numerator, 0, value.denominator, True)
+    return _raw(value.numerator, 0, value.denominator)
 
 
 GR_ZERO = GaussianRational(Fraction(0), Fraction(0))

@@ -8,7 +8,8 @@ direct Euler product vs. reflected functional-equation assembly) and the
 relative residual is reported per point.  ``IDENTITIES`` registers every
 check, the exact Gaussian-rational oracle last, with the parameters it reads
 and its battery parameters; the battery and the CLI both run from it, and
-every check reports as one ``IdentityReport``.
+every check reports as one ``IdentityReport``, which derives its verdict
+from the points it is given.
 
 The three Zograf checks (``zograf-ratio``, ``corollary-FG`` and
 ``main-theorem``) take a parity, read once as h (0 for F_n, 1 for G_n, by
@@ -21,7 +22,9 @@ primitive class one array row holds every factor, its logs come from
 ``numerics.log1m_array`` and each row is summed correctly rounded by
 ``numerics.fsum_rows``.  Classes go through in chunks of at most
 ``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), so the oracle's
-memory is bounded by that budget, not by the spectrum.  The determinant
+memory is bounded by that budget, not by the spectrum, except one class's
+row of (m + 1) x (p, q) factors, which is not split.  An m whose lambda^m
+overflows a double on some class is refused first.  The determinant
 oracle rebuilds each class's characteristic polynomial by Newton's
 identities.  Its coefficients do not depend on s, so they are built once per
 (spectrum, m) and kept in an ``lru_cache`` of at most ``NEWTON_CACHE_SIZE``
@@ -64,7 +67,7 @@ import pickle
 import random
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -88,6 +91,10 @@ RESIDUAL_FLOOR = 1e-14
 ORACLE_CHUNK = 2 ** 14
 # (spectrum, m) pairs whose Newton coefficients the determinant oracle keeps
 NEWTON_CACHE_SIZE = 128
+# Largest m of a check (for corollary-FG, m = 2n - 2 + h): its up to 40 products
+# of m + 1 weight rows, one call per row, take about 3 s on 2 cores; the work
+# limit alone let det-chain run 90 s at m = 66665 on a 15-row table.
+CHECK_M_MAX = 1024
 FLAG_CIRCULAR = "circular-given-functional-equation"
 # prctl option: the signal a process gets when its parent ends
 PR_SET_PDEATHSIG = 1
@@ -127,14 +134,25 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Residuals, tolerance and verdict for one verified identity."""
+    """Residuals, tolerance and verdict for one verified identity.
+
+    The verdict is derived from the points: passed if and only if every
+    residual is at most the tolerance (a NaN, which every error point
+    carries, or an inf fails), and ``max_residual`` is the largest residual
+    that is not NaN, or 0.0."""
 
     identity_id: str
     tolerance: float
-    passed: bool
-    max_residual: float
+    passed: bool = field(init=False)
+    max_residual: float = field(init=False)
     points: tuple[GridPoint, ...]
     flags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        residuals = [pt.residual for pt in self.points]
+        object.__setattr__(self, "passed", all(r <= self.tolerance for r in residuals))
+        object.__setattr__(self, "max_residual",
+                           max((r for r in residuals if not math.isnan(r)), default=0.0))
 
 
 def _run_grid(identity_id: str, grid, point_fn, tol: float,
@@ -146,8 +164,6 @@ def _run_grid(identity_id: str, grid, point_fn, tol: float,
     missing eta invariant is an input error and propagates.
     """
     points = []
-    max_residual = 0.0
-    errored = False
     for s in map(complex, grid):
         try:
             if re_min is not None and not s.real > re_min:
@@ -157,12 +173,9 @@ def _run_grid(identity_id: str, grid, point_fn, tol: float,
             raise
         except (DomainError, ValueError) as exc:
             points.append(GridPoint(s, math.nan, ("error: " + str(exc),)))
-            errored = True
             continue
         points.append(GridPoint(s, residual, pflags))
-        max_residual = max(max_residual, residual)
-    passed = (not errored) and max_residual <= tol
-    return IdentityReport(identity_id, tol, passed, max_residual, tuple(points), flags)
+    return IdentityReport(identity_id, tol, tuple(points), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +253,20 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
     eigenvalue weight j and every (p, q) pair; its logs are summed correctly
     rounded, and the class sums likewise.  Classes are taken in chunks of at
     most ``ORACLE_CHUNK`` factors (one class when a row alone is longer), so
-    memory stays bounded whatever the spectrum's size.  The power table and
+    memory stays bounded whatever the spectrum's size; an m whose lam^m
+    overflows a double on some class is refused first.  The power table and
     the closed-form evaluators are not read, so this stays an independent
     route.
     """
     s = complex(s)
+    classes = spec.primitive_classes()
+    lams = [eigenvalue(cls) for cls in classes]
+    for index, (cls, lam) in enumerate(zip(classes, lams)):
+        try:
+            abs(lam) ** m
+        except OverflowError:
+            raise DomainError(f"lambda^{m} of class {index} (length {cls.length!r}, m {m}) "
+                              "overflows a double") from None
     if pq_max is None:
         pq_max = _default_pq_max(spec)
     exponents = np.arange(pq_max + 1)
@@ -252,7 +274,6 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
     keep = pp + qq <= pq_max
     pp, qq = pp[keep], qq[keep]
     weights = m - 2 * np.arange(m + 1)
-    classes = spec.primitive_classes()
     per_chunk = max(1, ORACLE_CHUNK // (len(weights) * len(pp)))
     class_logs = []
     for start in range(0, len(classes), per_chunk):
@@ -261,7 +282,7 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
         b = _column([cmath.exp(-complex(cls.length, -cls.angle)) for cls in chunk])
         c = (_column([sigma_char(cls, k) for cls in chunk]) * (a ** exponents)[:, pp]
              * (b ** exponents)[:, qq] * _column([cmath.exp(-s * cls.length) for cls in chunk]))
-        x = (_column([eigenvalue(cls) for cls in chunk]) ** weights)[:, :, None] * c[:, None, :]
+        x = (_column(lams[start:start + per_chunk]) ** weights)[:, :, None] * c[:, None, :]
         logs = log1m_array(x).reshape(len(chunk), -1)
         sums = fsum_rows(np.concatenate((logs.real, logs.imag)))
         class_logs += [cls.multiplicity * complex(re, im)
@@ -464,7 +485,6 @@ def verify_reflection_involution(samples: int = 1000, seed: int = 20240817,
     the volume cubic is odd and the eta phase antisymmetric, so the factors cancel."""
     rng = random.Random(seed)
     points = []
-    max_residual = 0.0
     for _ in range(samples):
         k = rng.randint(-8, 8)
         s = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
@@ -472,11 +492,8 @@ def verify_reflection_involution(samples: int = 1000, seed: int = 20240817,
         inv = ManifoldInvariants(rng.uniform(0.5, 10.0), 0.0,
                                  {max(abs(k), 1): rng.uniform(-2.0, 2.0)})
         back = reflect_selberg(inv, -k, -s, reflect_selberg(inv, k, s, v))
-        residual = abs(back - v) / abs(v)
-        max_residual = max(max_residual, residual)
-        points.append(GridPoint(s, residual, (f"k={k}",)))
-    return IdentityReport("reflect-involution", tol, max_residual <= tol,
-                          max_residual, tuple(points))
+        points.append(GridPoint(s, abs(back - v) / abs(v), (f"k={k}",)))
+    return IdentityReport("reflect-involution", tol, tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +537,11 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
                - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))
     # log-domain comparison: the closed form is e^(-O(n^2) Vol), far below any
     # absolute floor, so the residual must stay scale free
-    residual = log_relative_residual(log_lhs, log_rhs)
+    point = GridPoint(0j, log_relative_residual(log_lhs, log_rhs), ("reflected",))
     flags = (f"n={n}", parity, "reflected")
     if claimed is None and reference_spectrum is None:
         flags = flags + (FLAG_CIRCULAR,)
-    point = GridPoint(0j, residual, ("reflected",))
-    return IdentityReport("main-theorem", tol, residual <= tol, residual, (point,), flags)
+    return IdentityReport("main-theorem", tol, (point,), flags)
 
 
 def special_case_low_n(inv: ManifoldInvariants, which: str) -> complex:
@@ -557,9 +573,7 @@ def verify_exact_oracle() -> IdentityReport:
             f = r.first_failure
             flags += (f"first failure at class {f.class_index}, power {f.power}",)
         points.append(GridPoint(0j, 0.0 if r.passed else 1.0, flags))
-    worst = max(pt.residual for pt in points)
-    return IdentityReport("exact-oracle", 0.0, worst == 0.0, worst, tuple(points),
-                          ("exact-rational-arithmetic",))
+    return IdentityReport("exact-oracle", 0.0, tuple(points), ("exact-rational-arithmetic",))
 
 
 @dataclass(frozen=True)
@@ -640,8 +654,8 @@ def run_identity(identity_id: str, spec: LengthSpectrum | None,
     """One registered check.  Its parameters are checked before any grid point
     runs, so a bad index raises ``ValueError`` instead of erroring every point,
     and so does an m (for corollary-FG, m = 2n - 2 + h) whose m + 1 weight rows
-    over the power table pass the work limit (``zeta._weight_budget``); a table
-    that itself passes the limit is left to the grid points."""
+    over the power table pass the work limit (``zeta._weight_budget``) or that
+    passes ``CHECK_M_MAX``; a table past the limit is left to the grid points."""
     entry = IDENTITIES[identity_id]
     m = params.get("m")
     if m is not None and m < 0:
@@ -663,6 +677,8 @@ def run_identity(identity_id: str, spec: LengthSpectrum | None,
             pass  # a table past the budget is reported at each grid point
         else:
             _weight_budget(m, table)
+        if m > CHECK_M_MAX:
+            raise ValueError(f"{identity_id} needs m <= {CHECK_M_MAX}, got {m}")
     return entry.run(spec, inv, p, max(tol, entry.tol_floor), **params)
 
 

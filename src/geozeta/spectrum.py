@@ -187,7 +187,7 @@ class PowerTable:
 
     Row i is the i-th power gamma_0^m in the fixed enumeration order: ``m``,
     the power's ``length``, ``angle`` and ``spin_sign`` as ``power_holonomy``
-    gives them, and the class's ``multiplicity`` and ``base_length``.
+    gives them, and the class's ``multiplicity``.
     ``weight`` is multiplicity / m, the log-series coefficient, and
     ``denominator`` is the Selberg factor
     (1 - e^-(L + i theta)) (1 - e^-(L - i theta)) = |1 - e^-(L + i theta)|^2.
@@ -198,7 +198,6 @@ class PowerTable:
     angle: np.ndarray
     spin_sign: np.ndarray
     multiplicity: np.ndarray
-    base_length: np.ndarray
     weight: np.ndarray
     denominator: np.ndarray
 
@@ -266,7 +265,7 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     order = np.lexsort((m, base, length))
     base, m, length, red, sign = base[order], m[order], length[order], red[order], sign[order]
     w = 1.0 - np.exp(-(length + 1j * red))
-    return PowerTable(m, length, red, sign, mult[base], base_length[base], mult[base] / m,
+    return PowerTable(m, length, red, sign, mult[base], mult[base] / m,
                       w.real * w.real + w.imag * w.imag)
 
 
@@ -278,7 +277,7 @@ _FIT_SAFETY = 4.0
 
 @dataclass(frozen=True)
 class GrowthModel:
-    """Exponential growth envelope N(L) <= (constant/2) * e^(exponent * L).
+    """Exponential growth envelope N(L) <= (constant/2) * e^(2L).
 
     The exponent is pinned at 2, the universal convergence abscissa for
     cocompact groups; only the constant is estimated.  ``rigorous`` is False
@@ -289,7 +288,6 @@ class GrowthModel:
     """
 
     constant: float
-    exponent: float = 2.0
     rigorous: bool = False
     a_min: float = 2.0
     a_max: float = math.inf
@@ -300,12 +298,9 @@ class GrowthModel:
 
     @classmethod
     def fit(cls, spec: LengthSpectrum) -> "GrowthModel":
-        """Heuristic least-squares fit of log N(L) over the available powers.
-
-        N(L) counts (class, power) pairs of total length <= L with
-        multiplicity.  The fitted constant is inflated to an envelope of the
-        observed counts times a fixed safety factor; it remains heuristic.
-        """
+        """Heuristic constant: twice the envelope max N(L) e^(-2L) of the
+        counts N(L) of (class, power) pairs of total length <= L with
+        multiplicity, over the available powers, times a fixed safety factor."""
         return _fit_growth(spec)
 
     @classmethod
@@ -327,16 +322,12 @@ class GrowthModel:
 def _fit_growth(spec: LengthSpectrum) -> GrowthModel:
     import numpy as np
 
-    from .numerics import fsum_real
-
     powers = powers_up_to(spec, spec.l_max)
     if not powers:
         return GrowthModel(0.0)
     count = np.cumsum(powers.multiplicity)
-    logs = np.log(count) - 2.0 * powers.length
     envelope = float(np.max(count * np.exp(-2.0 * powers.length)))
-    c_ls = 2.0 * math.exp(fsum_real(logs) / len(logs))
-    return GrowthModel(max(c_ls, 2.0 * envelope) * _FIT_SAFETY)
+    return GrowthModel(2.0 * envelope * _FIT_SAFETY)
 
 
 def _exact_ruelle_tail(spec: LengthSpectrum, a: float, l_cut: float) -> float:

@@ -277,9 +277,11 @@ def _zograf(spec: LengthSpectrum, n: int, h: int, s: complex, p: EvalParams,
     js = range(k_top + 1)
     log_value = fsum_complex(np.array(_log_series(
         table, [-(2 * (n + j) + h) for j in js], [s + (n + j + h / 2) for j in js])))
-    # remaining k-layers bounded by a geometric series in e^-L
-    k_tail = fsum_real(table.weight * np.exp(-s.real * table.length)
-                       * np.exp(-(n + k_top + 1 + h / 2) * table.length)
+    # remaining k-layers bounded by a geometric series in e^-L; e^(-Re(s) L)
+    # alone overflows at large n, so there both exponents go in one exp
+    lead, rest = -s.real * table.length, -(n + k_top + 1 + h / 2) * table.length
+    lead, rest = np.where(lead > 700, lead + rest, lead), np.where(lead > 700, 0.0, rest)
+    k_tail = fsum_real(table.weight * np.exp(lead) * np.exp(rest)
                        / (1.0 - np.exp(-table.length)))
     # layer k sits at exponent Re(s) + k + h/2, up to the top layer's
     return _finish(spec, p, log_value, s.real + (n + h / 2), in_domain, extra_bound=k_tail,

@@ -163,12 +163,12 @@ def ruelle_rho_direct(spec, m: int, s: complex) -> complex:
 
 
 def power_rows(table) -> list[tuple[GeodesicEntry, int, float]]:
-    """Each row of a power table as (the power's GeodesicEntry, m, base_length).
+    """Each row of a power table as (the power's GeodesicEntry, m, base length).
 
     The entry carries the power's length, angle, spin_sign and multiplicity
-    columns, so the ``chars`` functions take it as they take any class.
+    columns, so the ``chars`` functions take it as they take any class.  The
+    base length is length / m, the class's own length to within an ulp.
     """
-    columns = (table.length, table.angle, table.spin_sign, table.multiplicity, table.m,
-               table.base_length)
-    return [(GeodesicEntry(length, angle, sign, mult), m, base)
-            for length, angle, sign, mult, m, base in zip(*(c.tolist() for c in columns))]
+    columns = (table.length, table.angle, table.spin_sign, table.multiplicity, table.m)
+    return [(GeodesicEntry(length, angle, sign, mult), m, length / m)
+            for length, angle, sign, mult, m in zip(*(c.tolist() for c in columns))]

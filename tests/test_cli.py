@@ -8,10 +8,12 @@ import pytest
 
 from geozeta import entry, exact, fixtures, identities, spectrum, zeta
 from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, SAMPLES_MAX, _emit, _strict, main
+from geozeta.commands import INDEX_MAX
 from geozeta.continuation import serialize_invariants
 from geozeta.heattrace import heat_trace_geometric
-from geozeta.identities import IDENTITIES, predict_torsion_ratio, verify_ruelle_decomposition
-from geozeta.spectrum import serialize_spectrum
+from geozeta.identities import (CHECK_M_MAX, IDENTITIES, predict_torsion_ratio,
+                                verify_ruelle_decomposition)
+from geozeta.spectrum import DomainError, serialize_spectrum
 
 EMPTY_DOC = json.dumps({"label": "empty", "oriented": True, "l_max": 1.0, "entries": []})
 SINGLE_DOC = json.dumps({"label": "one", "oriented": True, "l_max": 40.0,
@@ -498,6 +500,106 @@ def test_an_overflowing_trace_flags_every_point(spec_file, capsys):
     assert all(pt["residual"] is None and pt["flags"] == [
         "error: a trace of rho_25 on a power of class 1 (length 2.3, m 25) overflows a double"]
         for pt in doc["points"])
+
+
+@pytest.mark.parametrize("m, index, length", [(700, 1, 2.3), (1000, 0, 2.0)])
+def test_an_overflowing_oracle_power_flags_every_point(spec_file, small_spec, capsys, m,
+                                                       index, length):
+    # lambda^m = e^(mL/2) passes a double from m = 618 on at length 2.3, and
+    # from m = 710 on at length 2.0; the oracle refuses it before building any
+    # array (m = 20000 took 34 s and 792 MB when it did not)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"^lambda\^20000 of class 0 "):
+            identities.selberg_rho_bruteforce(small_spec, 20000, 0, 10003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    tracemalloc.start()
+    try:
+        code = entry.main(["verify", "--identity", "selberg-rho-dec", "--m", str(m),
+                           "--spectrum", spec_file])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = strict_loads(out)
+    assert doc["passed"] is False and doc["max_residual"] == 0.0 and len(doc["points"]) == 8
+    assert all(pt["residual"] is None and pt["flags"] == [
+        f"error: lambda^{m} of class {index} (length {length}, m {m}) overflows a double"]
+        for pt in doc["points"])
+    assert peak < 1_000_000
+
+
+@pytest.fixture
+def volume8_file(tmp_path):
+    # volume 8 with eta for weights 1-20: the shipped invariants stop at weight
+    # 10, so they cannot reach a reflected Selberg value past a double
+    path = tmp_path / "volume8.json"
+    path.write_text(json.dumps({"volume": 8.0, "cs": 0.1,
+                                "eta": {str(k): 0.1 for k in range(1, 21)}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_an_overflowing_reflected_value_exits_2(spec_file, volume8_file, capsys, parity):
+    assert entry.main(["verify", "--identity", "main-theorem", "--n", "8", "--parity", parity,
+                       "--spectrum", spec_file, "--invariants", volume8_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: exp of the log series (") and err.count("\n") == 1
+    assert err.endswith(") overflows a double\n")
+
+
+def test_an_overflowing_reflected_value_flags_its_points(spec_file, volume8_file, capsys):
+    assert entry.main(["verify", "--identity", "ruelle-feq", "--m", "16",
+                       "--spectrum", spec_file, "--invariants", volume8_file]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = strict_loads(out)
+    flagged = [pt for pt in doc["points"] if pt["residual"] is None]
+    assert not doc["passed"] and flagged
+    assert all(pt["flags"][0].startswith("error: exp of the log series (")
+               and pt["flags"][0].endswith(") overflows a double") for pt in flagged)
+
+
+def test_a_zograf_check_at_large_n_warns_nothing(spec_file, capsys, recwarn):
+    # at Re(s) near 2 - n, e^(-Re(s) L) alone overflows in the direct product's k-tail
+    assert entry.main(["verify", "--identity", "zograf-ratio", "--n", "100",
+                       "--spectrum", spec_file]) == 0
+    assert strict_loads(capsys.readouterr().out)["passed"]
+    assert not recwarn.list
+
+
+def test_verify_m_past_the_check_limit_exits_2(spec_file, capsys):
+    # up to 40 symmetric-power products of m + 1 weight rows per check:
+    # det-chain took 90 s at m = 66665, which the work limit admits on this table
+    assert entry.main(["verify", "--identity", "four-selberg", "--m", str(CHECK_M_MAX + 1),
+                       "--spectrum", spec_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: four-selberg needs m <= {CHECK_M_MAX}, got {CHECK_M_MAX + 1}\n"
+    # at the limit the check runs, and the determinant oracle's traces overflow
+    assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", str(CHECK_M_MAX),
+                       "--spectrum", spec_file]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "ruelle-sigma", "--k", str(INDEX_MAX + 1), "--s", "3"],
+    ["eval", "--kind", "F", "--n", str(-INDEX_MAX - 1), "--s", "3"],
+    ["verify", "--identity", "selberg-rho-dec", "--k", str(10 ** 400)],
+    ["verify", "--identity", "zograf-ratio", "--n", str(10 ** 400)],
+], ids=["eval-k", "eval-n", "verify-k", "verify-n"])
+def test_an_index_past_two_to_the_53_is_usage_error(spec_file, capsys, argv):
+    # 10^400 ended in an OverflowError when converted to a float
+    with pytest.raises(SystemExit) as exc:
+        entry.main([*argv, "--spectrum", spec_file])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "invalid index value: '" in err
 
 
 @pytest.mark.parametrize("where", ["--s=-1", "--grid=-1,3,5,0"])

@@ -144,10 +144,12 @@ class TestAgainstFractionPairs:
         for z in results:
             assert z._t[2] > 0
             raw = z._t
-            lowest = (z._a, z._b, z._d)
+            lowest = z._lowest()
             assert lowest[2] > 0 and math.gcd(*lowest) == 1
             assert raw[0] * lowest[2] == lowest[0] * raw[2]
             assert raw[1] * lowest[2] == lowest[1] * raw[2]
+            # reading the lowest terms, comparing and hashing leave the triple as built
+            assert z == GR(*pair(z)) and hash(z) == hash(GR(*pair(z))) and z._t is raw
 
     def test_lowest_terms_spot_check(self):
         assert GR(2 / 4, 6 / 8) == GR(Fraction(1, 2), Fraction(3, 4))
@@ -339,8 +341,7 @@ class TestExactCaches:
         for r in exact_battery():
             for (ci, mu), sides in r.ledger.items():
                 lhs, rhs = sides["lhs"], sides["rhs"]
-                row = (r.identity_id, r.passed, ci, mu, (lhs._a, lhs._b, lhs._d),
-                       (rhs._a, rhs._b, rhs._d))
+                row = (r.identity_id, r.passed, ci, mu, lhs._lowest(), rhs._lowest())
                 digest.update(repr(row).encode() + b"\n")
         assert digest.hexdigest() == DEFAULT_BATTERY_SHA256
 
@@ -373,9 +374,8 @@ def test_ledger_triples_are_in_lowest_terms(identity, cls, mu, two_s, m, k, n):
     lhs, rhs = identity_terms(identity, cls, mu, Fraction(two_s, 2), m=m, k=k, n=n)
     for z in (lhs, rhs):
         assert z._t[2] > 0
-        a, b, d = z._a, z._b, z._d
+        a, b, d = z._lowest()
         assert d > 0 and math.gcd(a, b, d) == 1
-        assert z._t == (a, b, d)
     assert lhs == rhs
 
 

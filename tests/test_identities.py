@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import re
 
 import pytest
@@ -8,7 +9,8 @@ from geozeta import identities, spectrum
 from geozeta.cli import _strict
 from geozeta.continuation import EtaNotSuppliedError, ManifoldInvariants
 from geozeta.exact import ExactCheckResult, GaussianRational, TermFailure, exact_battery
-from geozeta.identities import (IDENTITIES, _ruelle_reflected_log, battery_reports,
+from geozeta.identities import (IDENTITIES, GridPoint, IdentityReport,
+                                _ruelle_reflected_log, battery_reports,
                                 default_grid, run_identity, verify_exact_oracle,
                                 main_theorem_residual, predict_torsion_ratio,
                                 relative_residual, special_case_low_n, theta_even,
@@ -342,6 +344,24 @@ def test_report_json_shape(small_spec):
     assert len(doc["points"]) == len(default_grid(3.5))
     assert all(list(pt) == ["s", "residual", "flags"] for pt in doc["points"])
     assert all(len(pt["s"]) == 2 for pt in doc["points"])
+
+
+@pytest.mark.parametrize("residuals, passed, max_residual", [
+    ((), True, 0.0),
+    ((1e-9, 1e-8), True, 1e-8),
+    ((1e-9, 2e-8), False, 2e-8),
+    # a NaN (every error point carries one) or an inf fails the report
+    ((1e-9, math.nan), False, 1e-9),
+    ((math.nan,), False, 0.0),
+    ((1e-9, math.inf), False, math.inf),
+])
+def test_the_verdict_is_derived_from_the_points(residuals, passed, max_residual):
+    report = IdentityReport("x", 1e-8, tuple(GridPoint(0j, r) for r in residuals))
+    # the battery's worker sends its reports back pickled
+    for r in (report, pickle.loads(pickle.dumps(report))):
+        assert r.passed is passed and r.max_residual == max_residual
+    with pytest.raises(TypeError):
+        IdentityReport("x", 1e-8, True, 0.0, ())
 
 
 def same_bits(got: complex, want: complex) -> bool:

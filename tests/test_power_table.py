@@ -26,7 +26,7 @@ from scalar_reference import CompensatedSum, power_rows
 REL = 1e-13
 
 
-SCALAR_COLUMNS = ("m", "length", "angle", "spin_sign", "multiplicity", "base_length")
+SCALAR_COLUMNS = ("m", "length", "angle", "spin_sign", "multiplicity")
 
 
 def scalar_powers(spec, l_cut):
@@ -45,10 +45,10 @@ def scalar_powers(spec, l_cut):
         m_top = int(math.floor(l_cut / base + 1e-12))
         for m in range(1, m_top + 1):
             length, angle, sign = power_holonomy(base, theta, spin, m)
-            rows.append((length, index, m, angle, sign, mult, base))
+            rows.append((length, index, m, angle, sign, mult))
     rows.sort(key=lambda row: row[:3])
-    length, _, m, angle, sign, mult, base = (list(c) for c in zip(*rows)) if rows else [[]] * 7
-    return dict(zip(SCALAR_COLUMNS, (m, length, angle, sign, mult, base)))
+    length, _, m, angle, sign, mult = (list(c) for c in zip(*rows)) if rows else [[]] * 6
+    return dict(zip(SCALAR_COLUMNS, (m, length, angle, sign, mult)))
 
 
 def loop_ruelle_log(spec, k, s, l_cut):
@@ -129,10 +129,9 @@ class TestTableMatchesScalarEnumeration:
         assert powers_up_to(medium_spec, medium_spec.l_max) is table
 
 
-def test_the_columns_are_the_eight_the_evaluators_read():
+def test_the_columns_are_those_the_evaluators_read():
     assert [f.name for f in dataclasses.fields(PowerTable)] == [
-        "m", "length", "angle", "spin_sign", "multiplicity", "base_length", "weight",
-        "denominator"]
+        "m", "length", "angle", "spin_sign", "multiplicity", "weight", "denominator"]
     assert not hasattr(PowerTable, "__iter__")
 
 

@@ -180,7 +180,8 @@ class TestPowers:
             [GeodesicEntry(l, a, s, 1) for l, a, s in triples], 10.0)
         big = powers_up_to(spec, hi)
         small = powers_up_to(spec, lo)
-        prefix = big.m <= np.floor(lo / big.base_length + 1e-12)
+        # length / m is each power's class length to within an ulp
+        prefix = big.m <= np.floor(lo / (big.length / big.m) + 1e-12)
         for f in dataclasses.fields(small):
             assert getattr(small, f.name).tolist() == getattr(big, f.name)[prefix].tolist()
 
