@@ -21,10 +21,11 @@ The brute-force oracle multiplies out the literal (p, q) double product: per
 primitive class one array row holds every factor, its logs come from
 ``numerics.log1m_array`` and each row is summed correctly rounded by
 ``numerics.fsum_rows``.  Classes go through in chunks of at most
-``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), so the oracle's
-memory is bounded by that budget, not by the spectrum, except one class's
-row of (m + 1) x (p, q) factors, which is not split.  An m whose lambda^m
-overflows a double on some class is refused first.  The determinant
+``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), and one class's
+row of (m + 1) x (p, q) factors, which is not split, may hold at most
+``ORACLE_ROW_MAX`` (2^16), so the oracle's memory is bounded by these
+budgets, not by the spectrum.  An m whose lambda^m overflows a double on
+some class is refused first, then an m whose row is too long.  The determinant
 oracle rebuilds each class's characteristic polynomial by Newton's
 identities.  Its coefficients do not depend on s, so they are built once per
 (spectrum, m) and kept in an ``lru_cache`` of at most ``NEWTON_CACHE_SIZE``
@@ -75,7 +76,7 @@ import numpy as np
 
 from .chars import eigenvalue, sigma_char, trace_rho
 from .continuation import (EtaNotSuppliedError, ManifoldInvariants, eta_lookup,
-                           reflect_selberg, selberg_anywhere)
+                           reflect_selberg, selberg_log_anywhere)
 from .exact import exact_battery
 from .numerics import fsum_complex, fsum_rows, log1m_array
 from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
@@ -83,12 +84,17 @@ from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, 
 # the predictor lives in ``torsion``; its names stay importable from here
 from .torsion import (TorsionPrediction, parity_h, predict_torsion_ratio,  # noqa: F401
                       theta_even, theta_odd)
-from .zeta import (EvalParams, _weight_budget, ruelle_rho, selberg_rho, selberg_sigma,
+from .zeta import (EvalParams, _exp, _weight_budget, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
 RESIDUAL_FLOOR = 1e-14
 # factors per chunk of classes in the brute-force oracle: 256 kB per complex array
 ORACLE_CHUNK = 2 ** 14
+# factors in one class's row, (m + 1) x (p, q) pairs, which is not split: 1 MB
+# per complex array.  The battery's longest row is 3 x 4186 (m = 2 at the
+# deepest pq_max, 90); a 50-class spectrum at this budget takes about 2 s,
+# while the medium fixture's m = 448 row (449 x 378) took 5-7 s for a check.
+ORACLE_ROW_MAX = 2 ** 16
 # (spectrum, m) pairs whose Newton coefficients the determinant oracle keeps
 NEWTON_CACHE_SIZE = 128
 # Largest m of a check (for corollary-FG, m = 2n - 2 + h): its up to 40 products
@@ -254,9 +260,9 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
     rounded, and the class sums likewise.  Classes are taken in chunks of at
     most ``ORACLE_CHUNK`` factors (one class when a row alone is longer), so
     memory stays bounded whatever the spectrum's size; an m whose lam^m
-    overflows a double on some class is refused first.  The power table and
-    the closed-form evaluators are not read, so this stays an independent
-    route.
+    overflows a double on some class is refused first, then a row of more
+    than ``ORACLE_ROW_MAX`` factors.  The power table and the closed-form
+    evaluators are not read, so this stays an independent route.
     """
     s = complex(s)
     classes = spec.primitive_classes()
@@ -269,6 +275,11 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
                               "overflows a double") from None
     if pq_max is None:
         pq_max = _default_pq_max(spec)
+    pairs = (pq_max + 1) * (pq_max + 2) // 2
+    if classes and (m + 1) * pairs > ORACLE_ROW_MAX:
+        raise DomainError(f"the row of class 0 (length {classes[0].length!r}, m {m}) holds "
+                          f"{m + 1} x {pairs} = {(m + 1) * pairs} factors, more than "
+                          f"{ORACLE_ROW_MAX}")
     exponents = np.arange(pq_max + 1)
     pp, qq = np.indices((pq_max + 1, pq_max + 1))
     keep = pp + qq <= pq_max
@@ -415,11 +426,11 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
 def _ruelle_reflected_log(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
                           s: complex, p: EvalParams) -> complex:
     """log R_rho_m(s) assembled from the four-Selberg quotient, every factor
-    evaluated through selberg_anywhere (reflection where needed)."""
-    return (selberg_anywhere(spec, inv, m, s - m / 2, p).log_value
-            + selberg_anywhere(spec, inv, -m, s + m / 2 + 2, p).log_value
-            - selberg_anywhere(spec, inv, m + 2, s - m / 2 + 1, p).log_value
-            - selberg_anywhere(spec, inv, -(m + 2), s + m / 2 + 1, p).log_value)
+    evaluated through selberg_log_anywhere (reflection where needed)."""
+    return (selberg_log_anywhere(spec, inv, m, s - m / 2, p)
+            + selberg_log_anywhere(spec, inv, -m, s + m / 2 + 2, p)
+            - selberg_log_anywhere(spec, inv, m + 2, s - m / 2 + 1, p)
+            - selberg_log_anywhere(spec, inv, -(m + 2), s + m / 2 + 1, p))
 
 
 def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvariants,
@@ -438,7 +449,8 @@ def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvaria
         lhs = ruelle_rho(spec, m, s, p)
         log_rhs = (4.0 * s * dim * inv.volume / math.pi
                    + _ruelle_reflected_log(spec, inv, m, -s, p))
-        return relative_residual(lhs.value, cmath.exp(log_rhs)), ("reflected",)
+        # a reflected side past a double's range flags its point
+        return relative_residual(lhs.value, _exp(log_rhs)), ("reflected",)
 
     return _run_grid("ruelle-feq", grid, point, tol, (f"m={m}", FLAG_CIRCULAR), 2.0 + m / 2)
 
@@ -528,10 +540,10 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     if n < 3 - h:
         raise DomainError(f"n={n} below threshold for the {parity} main theorem (n >= {3 - h})")
     m = 2 * n - 2 + h
-    log_lhs = 2.0 * (selberg_anywhere(ref, inv, m, (1.0 - h / 2) - n, p).log_value
-                     + selberg_anywhere(spec, inv, -(m + 2), n + h / 2, p).log_value
-                     - selberg_anywhere(spec, inv, -m, n + (1.0 + h / 2), p).log_value
-                     - selberg_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p).log_value)
+    log_lhs = 2.0 * (selberg_log_anywhere(ref, inv, m, (1.0 - h / 2) - n, p)
+                     + selberg_log_anywhere(spec, inv, -(m + 2), n + h / 2, p)
+                     - selberg_log_anywhere(spec, inv, -m, n + (1.0 + h / 2), p)
+                     - selberg_log_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p))
     coeff = (2 * n * n - 2 * n + 1.0 / 3.0, 2 * n * n - 1.0 / 6.0)[h]
     log_rhs = (-(2.0 / math.pi) * coeff * cl.volume
                - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))

@@ -24,8 +24,10 @@ J. Sci. Comput. 31(1), 2008):
   TwoSum remainder plus B lies strictly below half the gap to r's nearer
   neighbour (a quarter of ``spacing(r)`` when |r| is a power of two).
 
-Rows that fail the test go to ``math.fsum``: a zero candidate (its sign
-follows ``math.fsum``), non-finite terms, a sigma that would overflow, a
+A row of zeros sums to a zero that is negative only when every term is
+-0.0; its sign is taken from ``math.fsum`` of one such zero, so it follows
+``math.fsum`` on every Python version.  Rows that fail the test go to
+``math.fsum``: a zero candidate, non-finite terms, a sigma that would overflow, a
 2^-53 sigma below the subnormal spacing, and rows whose cancellation leaves
 the candidate uncertified.  So values and exceptions are those of
 ``math.fsum`` and numpy raises no floating-point warning.  The numpy passes
@@ -82,9 +84,12 @@ def fsum_rows(x) -> list[float]:
         certified = np.abs(rem) + bound < half_gap
         for i, value in zip(rows[certified].tolist(), r[certified].tolist()):
             result[i] = value
-    for i, value in enumerate(result):
-        if value is None:
-            result[i] = math.fsum(x[i].tolist())
+    zeros = np.flatnonzero(mag == 0.0)
+    for i, negative in zip(zeros.tolist(), np.signbit(x[zeros]).all(axis=1).tolist()):
+        result[i] = math.fsum([-0.0 if negative else 0.0])
+    todo = [i for i, value in enumerate(result) if value is None]
+    for i, row in zip(todo, x[todo].tolist()):
+        result[i] = math.fsum(row)
     return result
 
 

@@ -20,7 +20,12 @@ Spectra are immutable after construction and safe to share across threads.
 The power enumeration of a spectrum is built once per (spectrum, l_cut) as a
 read-only ``PowerTable`` of numpy columns, cached and shared by every
 evaluator, so each Euler product is one array expression over that table,
-summed correctly rounded (``numerics``, the value of ``math.fsum``).
+summed correctly rounded (``numerics``, the value of ``math.fsum``).  The
+table holds the entries' own powers only: on an unoriented spectrum each row
+also stands for the same power of the entry's mirror, whose character the
+evaluators fold into the row's (``zeta``), and whose length, weight and
+Selberg denominator are the row's own.  Only the oracles enumerate mirrors
+as classes of their own (``primitive_classes``).
 
 Importing this module loads no numpy: parsing, validation and serialization
 use the standard library only, and numpy is imported by the two functions
@@ -176,21 +181,26 @@ def power_holonomy(length: float, angle: float, spin_sign: int, m: int) -> tuple
 
 _TABLE_LOCK = threading.Lock()
 
-# Most rows one power table may hold (64 MB of columns: eight 8-byte columns
-# per row).  The largest table of the benchmark spectra has 14,590 rows.
+# Most powers one table may stand for, mirrors counted (56 MB of columns:
+# seven 8-byte columns per row, and an unoriented row stands for two powers).
+# The largest table of the benchmark spectra stands for 14,590 powers.
 POWER_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
 class PowerTable:
-    """Every power gamma_0^m of total length <= l_cut, as read-only columns.
+    """Every power gamma_0^m of an entry with total length <= l_cut, as
+    read-only columns.
 
     Row i is the i-th power gamma_0^m in the fixed enumeration order: ``m``,
     the power's ``length``, ``angle`` and ``spin_sign`` as ``power_holonomy``
-    gives them, and the class's ``multiplicity``.
+    gives them, and the entry's ``multiplicity``.
     ``weight`` is multiplicity / m, the log-series coefficient, and
     ``denominator`` is the Selberg factor
     (1 - e^-(L + i theta)) (1 - e^-(L - i theta)) = |1 - e^-(L + i theta)|^2.
+    ``mirrored`` (an unoriented spectrum) means each row also stands for the
+    m-th power of the entry's mirror: same length, weight and denominator,
+    and the weight-k character (-1)^(mk) conj(sigma_k).
     """
 
     m: np.ndarray
@@ -200,10 +210,12 @@ class PowerTable:
     multiplicity: np.ndarray
     weight: np.ndarray
     denominator: np.ndarray
+    mirrored: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            getattr(self, f.name).flags.writeable = False
+            if f.name != "mirrored":  # every other field is a column
+                getattr(self, f.name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.m)
@@ -212,13 +224,15 @@ class PowerTable:
 def powers_up_to(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     """Every power gamma_0^m with total length m*l_0 <= l_cut, exactly once.
 
-    Order is ascending total length, ties broken by expanded-class index and
-    then by m; fixed globally so all downstream summations are reproducible.
-    The table is built once per (spectrum, l_cut) and process, and shared.
+    Order is ascending total length, ties broken by entry index and then by
+    m; fixed globally so all downstream summations are reproducible.  The
+    table is built once per (spectrum, l_cut) and process, and shared.  An
+    unoriented spectrum's mirrors get no rows of their own (``mirrored``).
 
-    A table of more than ``POWER_BUDGET`` rows (10^6) is refused with a
-    ``DomainError`` before anything is allocated; the message names the total
-    and the entry that needs the most powers.
+    A table standing for more than ``POWER_BUDGET`` powers (10^6, each
+    mirror counted) is refused with a ``DomainError`` before anything is
+    allocated; the message names the total and the entry that needs the most
+    powers.
     """
     if not (l_cut > 0):
         raise DomainError(f"l_cut must be positive, got {l_cut!r}")
@@ -228,7 +242,7 @@ def powers_up_to(spec: LengthSpectrum, l_cut: float) -> PowerTable:
 
 @lru_cache(maxsize=32)
 def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
-    # vectorized power_holonomy over every (class, m), then the global sort
+    # vectorized power_holonomy over every (entry, m), then the global sort
     import numpy as np
 
     entries = spec.entries
@@ -236,19 +250,13 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     base_theta = np.array([e.angle for e in entries], dtype=float)
     base_spin = np.array([e.spin_sign for e in entries], dtype=np.int64)
     mult = np.array([e.multiplicity for e in entries], dtype=np.int64)
-    if not spec.oriented:
-        # class 2i is entry i and class 2i + 1 its mirror (2*pi - theta, same
-        # sign), left unreduced: the powers below reduce it with the lift
-        base_length, base_spin, mult = (np.repeat(c, 2) for c in (base_length, base_spin, mult))
-        base_theta = np.column_stack((base_theta, TWO_PI - base_theta)).ravel()
     m_top = np.floor(l_cut / base_length + 1e-12)
-    total = float(m_top.sum())
+    total = float(m_top.sum()) * (1 if spec.oriented else 2)
     if not total <= POWER_BUDGET:
         worst = int(np.argmax(m_top))
-        entry = worst if spec.oriented else worst // 2
         raise DomainError(
             f"power budget exceeded: l_cut {l_cut} needs {total:.0f} powers, more than "
-            f"{POWER_BUDGET}; entries[{entry}] (length {float(base_length[worst])!r}) needs "
+            f"{POWER_BUDGET}; entries[{worst}] (length {float(base_length[worst])!r}) needs "
             f"{m_top[worst]:.0f} of them")
     m_top = m_top.astype(np.int64)
     base = np.repeat(np.arange(len(base_length), dtype=np.int64), m_top)
@@ -266,7 +274,7 @@ def _power_table(spec: LengthSpectrum, l_cut: float) -> PowerTable:
     base, m, length, red, sign = base[order], m[order], length[order], red[order], sign[order]
     w = 1.0 - np.exp(-(length + 1j * red))
     return PowerTable(m, length, red, sign, mult[base], mult[base] / m,
-                      w.real * w.real + w.imag * w.imag)
+                      w.real * w.real + w.imag * w.imag, not spec.oriented)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +333,8 @@ def _fit_growth(spec: LengthSpectrum) -> GrowthModel:
     powers = powers_up_to(spec, spec.l_max)
     if not powers:
         return GrowthModel(0.0)
-    count = np.cumsum(powers.multiplicity)
+    # a mirrored row counts its mirror's power too
+    count = np.cumsum(powers.multiplicity * (2 if powers.mirrored else 1))
     envelope = float(np.max(count * np.exp(-2.0 * powers.length)))
     return GrowthModel(2.0 * envelope * _FIT_SAFETY)
 

@@ -9,21 +9,34 @@ k-layer sum, on the domain Re(s) > 2 - n - h/2; ``zograf_F`` and ``zograf_G``
 name its two members.
 
 Every evaluator sums the log of its product over the deterministic power
-enumeration (ascending total length, ties by class index then power),
+enumeration (ascending total length, ties by entry index then power),
 truncated at total length l_cut, and exponentiates once at the end.  One
 kernel, ``_log_series``, sums every such series over the spectrum's cached
 ``PowerTable``, rows (k, s) in blocks, each row correctly rounded by
 ``numerics.fsum_rows``.  A Ruelle or Selberg sigma series is one row (the
-Selberg double product over (p, q) >= 0 summed in closed form per power), the
-direct Zograf path one row per k-layer and the heat trace one per weight.
+Selberg double product over (p, q) >= 0 summed in closed form per power), a
+symmetric-power product one row per weight, the direct Zograf path one row
+per k-layer and the heat trace one per weight.
+
+A term is -(multiplicity/m) sigma_k(power) times factors that depend on the
+power's length alone, so its coefficient column -(multiplicity/m) sigma_k
+does not depend on s: ``_coefficients`` builds it once per (table, k) and
+keeps it with the table, at most ``COLUMN_CACHE_BYTES`` per table; a column
+past that is built for the call and dropped.  On an unoriented spectrum the
+column is also where each row takes in its mirror: the mirror's power has
+the character (-1)^(mk) conj(sigma_k), so the row's character is
+sigma_k + (-1)^(mk) conj(sigma_k), that is 2 Re sigma_k or 2i Im sigma_k,
+and the table and the kernel's work are half those of listing the mirrors.
 
 The Ruelle and Selberg sigma log series are pure functions of (spectrum,
-l_cut, k, s), and the identity checks ask for the same ones many times (a
-verify battery makes 928 such calls for 312 distinct series).  Each series
-is therefore summed once per process and kept in an ``lru_cache`` of at most
-``LOG_SERIES_CACHE_SIZE`` (4096) entries of one complex each; the error
-bound and flags are rebuilt on every call.  An s with imaginary part -0.0
-shares the entry of +0.0: both sum to the same bits.
+l_cut, k, s), and the identity checks ask for the same ones many times.
+Each series is therefore summed once per process and kept in
+``_SIGMA_LOGS``, a least-recently-used cache of at most
+``LOG_SERIES_CACHE_SIZE`` (4096) entries of one complex each; a product of
+m + 1 weights looks its rows up there and sums the missing ones in one
+kernel call.  The error bound and flags are rebuilt on every call.  An s
+with imaginary part -0.0 shares the entry of +0.0: both sum to the same
+bits.
 
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
@@ -37,8 +50,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +75,9 @@ FLAG_REFLECTED = "reflected"
 ZOGRAF_BLOCK = 2 ** 14
 # distinct (spectrum, l_cut, k, s) sigma log series kept, one complex each
 LOG_SERIES_CACHE_SIZE = 4096
+# bytes of coefficient columns kept per power table, one complex per row
+# each: a 10^5-entry unoriented census table (241,690 rows) keeps two
+COLUMN_CACHE_BYTES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -112,9 +133,19 @@ def _exp(log_value: complex) -> complex:
         raise DomainError(f"exp of the log series {log_value!r} overflows a double") from None
 
 
-def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
+class _Factor(NamedTuple):
+    """One factor of a product before its exponential: the fields of a
+    ``ZetaValue`` that ``_combine`` reads."""
+
+    log_value: complex
+    abs_error_bound: float
+    heuristic_bound: bool
+    flags: tuple[str, ...]
+
+
+def _factor(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
             in_domain: bool, extra_bound: float = 0.0, prefactor: float = 1.0,
-            flags: tuple[str, ...] = (), re_top: float | None = None) -> ZetaValue:
+            flags: tuple[str, ...] = (), re_top: float | None = None) -> _Factor:
     # the bound is rigorous only if the growth model covers every effective
     # exponent in [re_eff, re_top] the log series reaches
     flags = _base_flags(spec, p) + flags
@@ -132,7 +163,15 @@ def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
         heuristic = True
     if not in_domain:
         flags = flags + (FLAG_FORMAL,)
-    return ZetaValue(_exp(log_value), log_value, bound, heuristic, in_domain, p.l_cut, flags)
+    return _Factor(log_value, bound, heuristic, flags)
+
+
+def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
+            in_domain: bool, **factor_args) -> ZetaValue:
+    # the value whose log, bound and flags ``_factor`` gives
+    factor = _factor(spec, p, log_value, re_eff, in_domain, **factor_args)
+    return ZetaValue(_exp(log_value), log_value, factor.abs_error_bound,
+                     factor.heuristic_bound, in_domain, p.l_cut, factor.flags)
 
 
 def _selberg_prefactor(spec: LengthSpectrum) -> float:
@@ -145,24 +184,73 @@ def _selberg_prefactor(spec: LengthSpectrum) -> float:
     return gap ** -2
 
 
+# per power table (held weakly, so a freed table drops its columns): k -> column
+_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_COLUMNS_LOCK = threading.Lock()
+
+
+def _coefficients(table: PowerTable, ks: list[int]) -> np.ndarray:
+    """Rows -(multiplicity/m) sigma_k(power) over the table, one per k in ``ks``.
+
+    On a ``mirrored`` table each row's character is sigma_k + (-1)^(mk)
+    conj(sigma_k), its own power's and its mirror's: 2 Re sigma_k where mk
+    is even and 2i Im sigma_k where it is odd.  Such a column is kept as one
+    real number per row, and the i is put back where mk is odd.  Each
+    column is built once per (table, k) and kept while the table's columns
+    fit in ``COLUMN_CACHE_BYTES``; a column past that is built and not kept,
+    so a call over many weights flushes nothing.
+    """
+    with _COLUMNS_LOCK:
+        kept = _COLUMNS.setdefault(table, {})
+    missing = [k for k in dict.fromkeys(ks) if k not in kept]
+    if missing:
+        odd = np.array([k % 2 == 1 for k in missing])
+        if table.mirrored:
+            half = np.array([0.5 * k for k in missing])[:, None] * table.angle
+            columns = 2.0 * np.where(odd[:, None] & (table.m % 2 == 1), np.sin(half), np.cos(half))
+        else:
+            columns = np.exp(np.array([0.5j * k for k in missing])[:, None] * table.angle)
+        columns[odd] = table.spin_sign * columns[odd]
+        columns = -table.weight * columns
+        with _COLUMNS_LOCK:
+            # every column of a table has the same size: its data and its header
+            column_bytes = columns[0].nbytes + sys.getsizeof(np.empty(0))
+            room = COLUMN_CACHE_BYTES // column_bytes - len(kept)
+            if room > 0:
+                frozen = columns[:room].copy()
+                frozen.flags.writeable = False
+                kept.update(zip(missing, frozen))
+        if missing == ks:
+            rows = columns
+        else:
+            at = dict(zip(missing, columns))
+            rows = np.stack([at[k] if k in at else kept[k] for k in ks])
+    elif len(ks) == 1:
+        rows = kept[ks[0]][None]
+    else:
+        rows = np.stack([kept[k] for k in ks])
+    odd = np.array([k % 2 == 1 for k in ks])
+    if table.mirrored and odd.any():  # i where both k and m are odd
+        rows = rows * np.where(odd[:, None] & (table.m % 2 == 1), 1j, 1.0)
+    return rows
+
+
 def _log_series(table: PowerTable, ks: list[int], ss: list[complex], selberg: bool = False,
                 shift: np.ndarray | None = None,
                 factor: np.ndarray | None = None) -> list[complex]:
     """Row i sums -(multiplicity/m) sigma_{ks[i]}(power) e^(-ss[i] L + shift)
-    over the powers (sigma_k as in chars.sigma_char), each term over the
-    ``denominator`` if ``selberg``, then times ``factor``.  Rows are built in
-    blocks of at most ``ZOGRAF_BLOCK`` elements (or one row), and one
-    ``fsum_rows`` call sums each block."""
+    over the powers (sigma_k as in chars.sigma_char, a mirrored row's as in
+    ``_coefficients``), each term over the ``denominator`` if ``selberg``,
+    then times ``factor``.  Rows are built in blocks of at most
+    ``ZOGRAF_BLOCK`` elements (or one row), and one ``fsum_rows`` call sums
+    each block."""
     per_block = max(1, ZOGRAF_BLOCK // max(1, len(table)))
     sums = []
     for i in range(0, len(ks), per_block):
-        terms = np.exp(np.array([0.5j * k for k in ks[i:i + per_block]])[:, None] * table.angle)
-        odd = np.array([k % 2 == 1 for k in ks[i:i + per_block]])
-        terms[odd] = table.spin_sign * terms[odd]
         exponent = -np.array(ss[i:i + per_block])[:, None] * table.length
         if shift is not None:
             exponent += shift
-        terms = -table.weight * terms * np.exp(exponent, out=exponent)
+        terms = _coefficients(table, ks[i:i + per_block]) * np.exp(exponent, out=exponent)
         del exponent  # only the terms stay alive through the sum
         if selberg:
             terms /= table.denominator
@@ -182,10 +270,50 @@ def _weight_budget(m: int, table: PowerTable) -> None:
                           f"exceed the power budget of {POWER_BUDGET}")
 
 
-@lru_cache(maxsize=LOG_SERIES_CACHE_SIZE)
-def _sigma_log(spec: LengthSpectrum, l_cut: float, k: int, s: complex, selberg: bool) -> complex:
-    # the Ruelle (selberg=False) or Selberg sigma_k log series at s
-    return _log_series(powers_up_to(spec, l_cut), [k], [s], selberg)[0]
+class _SeriesCache:
+    """The sigma log series summed so far, keyed (spectrum, l_cut, k, s,
+    selberg): at most ``maxsize`` entries, the least recently used dropped
+    first, and the hits and misses counted as ``functools.lru_cache`` counts
+    them."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._logs: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def __call__(self, spec: LengthSpectrum, l_cut: float, ks: list[int], ss: list[complex],
+                 selberg: bool) -> list[complex]:
+        # the Ruelle (selberg=False) or Selberg sigma_k log series at each (k, s);
+        # a call of more rows than the cache holds would only flush it
+        if len(ks) > self.maxsize:
+            return _log_series(powers_up_to(spec, l_cut), ks, ss, selberg)
+        keys = [(spec, l_cut, k, s, selberg) for k, s in zip(ks, ss)]
+        with self._lock:
+            logs = [self._logs.get(key) for key in keys]
+            for key, log in zip(keys, logs):
+                if log is not None:
+                    self._logs.move_to_end(key)
+            missing = [i for i, log in enumerate(logs) if log is None]
+            self.hits += len(keys) - len(missing)
+            self.misses += len(missing)
+        if missing:
+            sums = _log_series(powers_up_to(spec, l_cut), [ks[i] for i in missing],
+                               [ss[i] for i in missing], selberg)
+            with self._lock:
+                for i, log in zip(missing, sums):
+                    logs[i] = self._logs[keys[i]] = log
+                while len(self._logs) > self.maxsize:
+                    self._logs.popitem(last=False)
+        return logs
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._logs.clear()
+            self.hits = self.misses = 0
+
+
+_SIGMA_LOGS = _SeriesCache(LOG_SERIES_CACHE_SIZE)
 
 
 def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -195,7 +323,7 @@ def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Zet
     global enumeration, so each (class, m) contributes -sigma_k(power) e^(-s L) / m.
     """
     s = complex(s)
-    log_value = _sigma_log(spec, p.l_cut, k, s, False)
+    log_value = _SIGMA_LOGS(spec, p.l_cut, [k], [s], False)[0]
     return _finish(spec, p, log_value, s.real, s.real > 2.0)
 
 
@@ -206,13 +334,13 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
     -sigma_k(power) e^(-s L) / (m (1-e^-m(l+it)) (1-e^-m(l-it))).
     """
     s = complex(s)
-    log_value = _sigma_log(spec, p.l_cut, k, s, True)
+    log_value = _SIGMA_LOGS(spec, p.l_cut, [k], [s], True)[0]
     return _finish(spec, p, log_value, s.real, s.real > 2.0,
                    prefactor=_selberg_prefactor(spec) if spec.entries else 1.0)
 
 
-def _combine(p: EvalParams, num: list[ZetaValue], den: list[ZetaValue], in_domain: bool,
-             flags: tuple[str, ...] = ()) -> ZetaValue:
+def _combine(p: EvalParams, num: list[ZetaValue | _Factor], den: list[ZetaValue | _Factor],
+             in_domain: bool, flags: tuple[str, ...] = ()) -> ZetaValue:
     """The product of ``num`` over the product of ``den``.
 
     Logs add with their sign, error bounds add, one heuristic factor makes the
@@ -234,6 +362,22 @@ def _combine(p: EvalParams, num: list[ZetaValue], den: list[ZetaValue], in_domai
                      any(f.heuristic_bound for f in factors), in_domain, p.l_cut, flags)
 
 
+def _weight_product(spec: LengthSpectrum, ks: list[int], ss: list[complex], p: EvalParams,
+                    selberg: bool, in_domain: bool) -> ZetaValue:
+    """The product over rows i of the Ruelle or Selberg sigma_{ks[i]} value at
+    ss[i], each row's log series looked up or summed in one kernel call, its
+    factors combined as whole values are."""
+    logs = _SIGMA_LOGS(spec, p.l_cut, ks, ss, selberg)
+    prefactor = _selberg_prefactor(spec) if selberg and spec.entries else 1.0
+    for row in logs:  # a factor whose value alone overflows a double is refused
+        _exp(row)
+    if p.growth is None and spec.entries and any(s.real > 2.0 for s in ss):
+        p = EvalParams(p.l_cut, _growth_for(spec, p))  # fitted once, not per row
+    factors = [_factor(spec, p, row, s.real, s.real > 2.0, prefactor=prefactor)
+               for row, s in zip(logs, ss)]
+    return _combine(p, factors, [], in_domain)
+
+
 def ruelle_rho(spec: LengthSpectrum, m: int, s: complex, p: EvalParams) -> ZetaValue:
     """Ruelle zeta of the m-th symmetric power, via the weight decomposition
     R_rho_m(s) = prod_{l=0..m} R(sigma_{m-2l}, s - m/2 + l).
@@ -242,8 +386,8 @@ def ruelle_rho(spec: LengthSpectrum, m: int, s: complex, p: EvalParams) -> ZetaV
     """
     _weight_budget(m, powers_up_to(spec, p.l_cut))
     s = complex(s)
-    factors = [ruelle_sigma(spec, m - 2 * l, s - m / 2 + l, p) for l in range(m + 1)]
-    return _combine(p, factors, [], s.real > 2.0 + m / 2)
+    return _weight_product(spec, [m - 2 * l for l in range(m + 1)],
+                           [s - m / 2 + l for l in range(m + 1)], p, False, s.real > 2.0 + m / 2)
 
 
 def selberg_rho(spec: LengthSpectrum, m: int, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -252,8 +396,8 @@ def selberg_rho(spec: LengthSpectrum, m: int, k: int, s: complex, p: EvalParams)
     """
     _weight_budget(m, powers_up_to(spec, p.l_cut))
     s = complex(s)
-    factors = [selberg_sigma(spec, m - 2 * l + k, s - m / 2 + l, p) for l in range(m + 1)]
-    return _combine(p, factors, [], s.real > 2.0 + m / 2)
+    return _weight_product(spec, [m - 2 * l + k for l in range(m + 1)],
+                           [s - m / 2 + l for l in range(m + 1)], p, True, s.real > 2.0 + m / 2)
 
 
 def _zograf(spec: LengthSpectrum, n: int, h: int, s: complex, p: EvalParams,
@@ -282,7 +426,7 @@ def _zograf(spec: LengthSpectrum, n: int, h: int, s: complex, p: EvalParams,
     lead, rest = -s.real * table.length, -(n + k_top + 1 + h / 2) * table.length
     lead, rest = np.where(lead > 700, lead + rest, lead), np.where(lead > 700, 0.0, rest)
     k_tail = fsum_real(table.weight * np.exp(lead) * np.exp(rest)
-                       / (1.0 - np.exp(-table.length)))
+                       / (1.0 - np.exp(-table.length))) * (2 if table.mirrored else 1)
     # layer k sits at exponent Re(s) + k + h/2, up to the top layer's
     return _finish(spec, p, log_value, s.real + (n + h / 2), in_domain, extra_bound=k_tail,
                    flags=(FLAG_DIRECT,), re_top=s.real + (n + k_top + h / 2))

@@ -10,7 +10,10 @@ brute-force Selberg oracle as it ran one class at a time, summed by
 path's k-layer sum as it ran one layer at a time, and ``ruelle_rho_direct``
 the determinant oracle as it rebuilt every class's Newton coefficients at
 each s.  ``power_rows`` turns a power table's columns back into one
-``GeodesicEntry`` per power, for the per-power loops.
+``GeodesicEntry`` per power, for the per-power loops.  ``listed_log_series``
+is the log-series kernel as it ran when every power was a row of its own,
+computing each character afresh: on an oriented table, which lists every
+power, the kernel must still match it bit for bit.
 """
 
 from __future__ import annotations
@@ -172,3 +175,23 @@ def power_rows(table) -> list[tuple[GeodesicEntry, int, float]]:
     columns = (table.length, table.angle, table.spin_sign, table.multiplicity, table.m)
     return [(GeodesicEntry(length, angle, sign, mult), m, length / m)
             for length, angle, sign, mult, m in zip(*(c.tolist() for c in columns))]
+
+
+def listed_log_series(table, ks, ss, selberg=False, shift=None, factor=None) -> list[complex]:
+    """``zeta._log_series`` as it was before coefficient columns and mirror
+    folding, one row at a time: each power is a row of its own."""
+    sums = []
+    for k, s in zip(ks, ss):
+        terms = np.exp(np.array([0.5j * k])[:, None] * table.angle)
+        if k % 2 == 1:
+            terms = table.spin_sign * terms
+        exponent = -np.array([s])[:, None] * table.length
+        if shift is not None:
+            exponent += shift
+        terms = -table.weight * terms * np.exp(exponent)
+        if selberg:
+            terms /= table.denominator
+        if factor is not None:
+            terms *= factor
+        sums.append(complex(math.fsum(terms.real[0].tolist()), math.fsum(terms.imag[0].tolist())))
+    return sums

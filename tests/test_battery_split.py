@@ -214,26 +214,37 @@ class TestLogSeriesCache:
     def test_signed_zero_imaginary_parts_sum_to_the_same_bits(self, small_spec, medium_spec,
                                                               selberg):
         # s + 0j and s - 0j share one cache entry, so their series must agree
-        series = zeta._sigma_log.__wrapped__
         for spec in (small_spec, medium_spec, ANGLE_ZERO):
+            table = powers_up_to(spec, spec.l_max)
             for k in range(-3, 4):
                 for re in (2.5, 3.0, 4.0):
-                    plus = series(spec, spec.l_max, k, complex(re, 0.0), selberg)
-                    minus = series(spec, spec.l_max, k, complex(re, -0.0), selberg)
+                    plus, minus = (zeta._log_series(table, [k], [complex(re, im)], selberg)[0]
+                                   for im in (0.0, -0.0))
                     assert (plus.real.hex(), plus.imag.hex()) == \
                         (minus.real.hex(), minus.imag.hex())
 
-    def test_each_series_is_summed_once(self):
+    def test_each_series_is_summed_once(self, monkeypatch):
         spec = LengthSpectrum.build([GeodesicEntry(1.3 + 0.1 * i, 0.2 * i, 1, 1)
                                      for i in range(5)], 9.0)  # no other test uses it
         p = EvalParams.for_spectrum(spec)
-        before = zeta._sigma_log.cache_info()
+        cache = zeta._SIGMA_LOGS
+        before = (cache.misses, cache.hits)
         first = [zeta.selberg_sigma(spec, 2, 3.0 + 0.5j, p), zeta.ruelle_sigma(spec, 2, 3.0 + 0.5j, p)]
         again = [zeta.selberg_sigma(spec, 2, 3.0 + 0.5j, p), zeta.ruelle_sigma(spec, 2, 3.0 + 0.5j, p)]
-        after = zeta._sigma_log.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (2, 2)
+        assert (cache.misses - before[0], cache.hits - before[1]) == (2, 2)
         assert first == again
-        assert after.maxsize == zeta.LOG_SERIES_CACHE_SIZE
+        assert cache.maxsize == zeta.LOG_SERIES_CACHE_SIZE
         table = powers_up_to(spec, p.l_cut)
         assert [first[0].log_value] == zeta._log_series(table, [2], [3.0 + 0.5j], True)
         assert [first[1].log_value] == zeta._log_series(table, [2], [3.0 + 0.5j])
+        # a symmetric-power product looks its weight rows up in the same
+        # cache and sums the missing ones in one kernel call: Z_rho_2 at
+        # s + 1 has the row sigma_2 at s - 1 + 1 = s
+        calls = []
+        kernel = zeta._log_series
+        monkeypatch.setattr(zeta, "_log_series", lambda *args: calls.append(args[1]) or
+                            kernel(*args))
+        before = (cache.misses, cache.hits)
+        zeta.selberg_rho(spec, 2, 0, 4.0 + 0.5j, p)
+        assert (cache.misses - before[0], cache.hits - before[1]) == (2, 1)
+        assert calls == [[0, -2]]

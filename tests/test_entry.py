@@ -250,3 +250,21 @@ def test_package_exceptions_survive_pickling(make, attrs):
     assert type(back) is type(exc)
     assert str(back) == str(exc) and back.args == exc.args
     assert {name: getattr(back, name) for name in attrs} == attrs
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["verify", "--identity", "four-selberg", "--m", "1", "--spectrum", SPECTRA[0]], 0),
+    (["verify", "--identity", "prop-ruelle-dec", "--m", "25", "--spectrum", SPECTRA[0]], 1),
+    (["eval", "--spectrum", SPECTRA[0], "--kind", "ruelle-rho", "--m", "10000000",
+      "--s", "3"], 2),
+], ids=["passed", "failed", "refused"])
+def test_python_m_keeps_the_status_and_the_bytes(argv, status, capsys):
+    # ``python -m geozeta`` freezes the heap after the command and before the
+    # exit: its stdout bytes, its stderr line and its status stay entry.main's
+    assert entry.main(argv) == status
+    out, err = capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "geozeta", *argv], env=env, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out.encode(), err.encode())
+    assert len(proc.stderr.splitlines()) == (status == 2)

@@ -73,6 +73,7 @@ class TestFsumRows:
         [[1.0, 2.0], [math.inf, -math.inf]],       # inf - inf after a good row
         [[math.nan, 1.0], [math.inf, 1.0]],
         [[-0.0, -0.0], [0.0, -0.0]],               # signed zeros
+        [[-0.0] * 3, [-0.0, 0.0, -0.0], [0.0] * 3, [-0.0, 1.0, -1.0]],
         [[1e16, 1.0, -1e16], [1e16, -1e16, 0.0]],  # cancellation
         [[2.0 ** -1074] * 7, [2.0 ** -1022, -(2.0 ** -1074)] * 3 + [0.0]],  # subnormals
         [[1.0, 2.0 ** -53, 2.0 ** -106]],          # exactly half an ulp and a bit

@@ -23,7 +23,7 @@ from geozeta.chars import eigenvalue, sigma_char
 from geozeta.identities import (_default_pq_max, selberg_rho_bruteforce,
                                 selberg_sigma_bruteforce)
 from geozeta.numerics import log1m_array
-from geozeta.spectrum import GeodesicEntry, LengthSpectrum, flip_spins
+from geozeta.spectrum import DomainError, GeodesicEntry, LengthSpectrum, flip_spins
 from scalar_reference import CompensatedSum, double_product, log1m
 
 REL = 1e-13
@@ -125,6 +125,22 @@ class TestBruteforceMatchesScalarLoop:
         assert selberg_sigma_bruteforce(empty, 1, 4.0) == 1.0
         assert same_bits(selberg_rho_bruteforce(empty, 2, 0, 4.0),
                          double_product(empty, 2, 0, 4.0, None))
+
+    def test_a_row_past_its_budget_is_refused(self, small_spec):
+        # the fixture's pq_max 26 gives 378 (p, q) pairs: a class row holds
+        # (m + 1) x 378 factors, 65394 at m = 172 and 65772 at m = 173
+        assert 3 * 4186 <= identities.ORACLE_ROW_MAX  # the battery's longest row
+        assert math.isfinite(abs(selberg_rho_bruteforce(small_spec, 172, 0, 89.0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=(
+                    r"^the row of class 0 \(length 2\.0, m 173\) holds 174 x 378 = 65772 "
+                    r"factors, more than 65536$")):
+                selberg_rho_bruteforce(small_spec, 173, 0, 89.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_reads_no_power_table(self):
         # the oracle is the independent route: it must not touch the power table

@@ -120,7 +120,12 @@ class TestPowers:
         entries = [GeodesicEntry(1.0, 0.4, 1, 1), GeodesicEntry(1.3, 2.0, -1, 1)]
         oriented = LengthSpectrum.build(entries, 10.0, oriented=True)
         unoriented = LengthSpectrum.build(entries, 10.0, oriented=False)
-        assert len(powers_up_to(unoriented, 6.0)) == 2 * len(powers_up_to(oriented, 6.0))
+        # the table holds the entries' own powers; each row stands for its
+        # mirror's power too
+        one, both = powers_up_to(oriented, 6.0), powers_up_to(unoriented, 6.0)
+        assert (one.mirrored, both.mirrored) == (False, True)
+        for f in dataclasses.fields(one)[:-1]:
+            assert getattr(one, f.name).tolist() == getattr(both, f.name).tolist()
         assert oriented.primitive_classes() is oriented.entries
         classes = unoriented.primitive_classes()
         assert len(classes) == 4
@@ -141,15 +146,18 @@ class TestPowers:
         spec = LengthSpectrum.build([GeodesicEntry(1.0, 0.0, -1, 3)], 10.0, oriented=False)
         assert spec.primitive_classes() == (spec.entries[0], GeodesicEntry(1.0, 0.0, 1, 3))
         table = powers_up_to(spec, 1.0)
-        assert table.angle.tolist() == [0.0, 0.0]
-        assert table.spin_sign.tolist() == [-1, 1]
+        assert table.angle.tolist() == [0.0]
+        assert table.spin_sign.tolist() == [-1]
+        assert table.mirrored
 
     def test_power_budget(self):
-        # the unoriented mirror pair counts twice; the message names the entry
+        # the unoriented mirror pair counts twice, though it takes one row;
+        # the message names the entry
         entries = [GeodesicEntry(1.0, 0.4, 1, 1), GeodesicEntry(2.0 ** -17, 2.0, -1, 1)]
         spec = LengthSpectrum.build(entries, 12.0, oriented=False)
-        assert len(powers_up_to(spec, 0.25)) == 2 * 2 ** 15
-        assert 2 * (4 + 2 ** 19) > POWER_BUDGET
+        assert len(powers_up_to(spec, 0.25)) == 2 ** 15
+        # at l_cut 4 the rows would fit the budget, the powers they stand for do not
+        assert 4 + 2 ** 19 < POWER_BUDGET < 2 * (4 + 2 ** 19)
         with pytest.raises(DomainError, match=r"needs 1048584 powers.*entries\[0\] "
                                               r"\(length 7.62939453125e-06\) needs 524288"):
             powers_up_to(spec, 4.0)
@@ -182,7 +190,7 @@ class TestPowers:
         small = powers_up_to(spec, lo)
         # length / m is each power's class length to within an ulp
         prefix = big.m <= np.floor(lo / (big.length / big.m) + 1e-12)
-        for f in dataclasses.fields(small):
+        for f in dataclasses.fields(small)[:-1]:
             assert getattr(small, f.name).tolist() == getattr(big, f.name)[prefix].tolist()
 
 

@@ -1,14 +1,15 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 
 from geozeta import zeta
 from geozeta.heattrace import heat_trace_geometric
 from geozeta.identities import selberg_rho_bruteforce, selberg_sigma_bruteforce
-from geozeta.spectrum import (GeodesicEntry, GrowthModel, LengthSpectrum, flip_spins,
-                              powers_up_to)
+from geozeta.spectrum import (POWER_BUDGET, GeodesicEntry, GrowthModel, LengthSpectrum,
+                              flip_spins, powers_up_to)
 from geozeta.zeta import (EvalParams, ruelle_rho, ruelle_sigma, selberg_rho,
                           selberg_sigma, zograf_F, zograf_G)
 from scalar_reference import zograf_direct_log
@@ -242,11 +243,12 @@ class TestZografBlocks:
             assert same_bits(got, want)
 
     def test_long_table_two_layers_per_block(self):
-        # 1400 unoriented entries: over 6000 powers, so the budget takes two
-        # layers per block, each row past the fsum_rows crossover
+        # 2800 unoriented entries: over 6000 rows (one per mirror pair), so
+        # the budget takes two layers per block, each row past the fsum_rows
+        # crossover
         rng = random.Random(3)
         lengths = sorted({2.0 + 0.5 * math.log1p(rng.random() * math.expm1(5.0))
-                          for _ in range(1400)})
+                          for _ in range(2800)})
         spec = LengthSpectrum.build(
             [GeodesicEntry(length, rng.uniform(0.0, math.pi), rng.choice((1, -1)),
                            rng.randint(1, 2)) for length in lengths], 12.0, oriented=False)
@@ -310,3 +312,33 @@ class TestTruncationConsistency:
                    selberg_rho(medium_spec, 2, 0, 4.0, p),
                    zograf_G(medium_spec, 2, 0.0, p)):
             assert abs(zv.value - cmath.exp(zv.log_value)) <= 1e-12 * abs(zv.value)
+
+
+def test_a_symmetric_power_point_is_one_kernel_call(monkeypatch, small_spec):
+    # m = 66665 is the largest m the work limit admits over the small
+    # fixture's 15 rows; its m + 1 weight rows take one kernel call, against
+    # the route of one call and one finished factor per row, with no column
+    # kept by either
+    m = 66665
+    p = EvalParams.for_spectrum(small_spec)
+    table = powers_up_to(small_spec, p.l_cut)
+    assert (m + 2) * len(table) > POWER_BUDGET >= (m + 1) * len(table)
+    monkeypatch.setattr(zeta, "COLUMN_CACHE_BYTES", 0)
+    s = complex(3.0 + m / 2, 0.3)
+    rows = [(m - 2 * l, s - m / 2 + l) for l in range(m + 1)]
+    start = time.perf_counter()
+    want = zeta._combine(p, [zeta._finish(small_spec, p, zeta._log_series(table, [k], [x])[0],
+                                          x.real, x.real > 2.0) for k, x in rows], [], True)
+    per_row = time.perf_counter() - start
+    calls = []
+    kernel = zeta._log_series
+    monkeypatch.setattr(zeta, "_log_series", lambda *args: calls.append(len(args[1])) or
+                        kernel(*args))
+    batched = math.inf
+    for _ in range(2):  # the better of two runs, as neither keeps a row or a column
+        start = time.perf_counter()
+        got = ruelle_rho(small_spec, m, s, p)
+        batched = min(batched, time.perf_counter() - start)
+    assert calls == [m + 1] * 2
+    assert same_bits(got.log_value, want.log_value) and got == want
+    assert batched <= per_row / 4, (batched, per_row)
