@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import sys
 
-from . import heattrace, identities  # noqa: F401  and through them every other module
-from .commands import GRID_POINTS_MAX, SAMPLES_MAX, _emit, _strict  # noqa: F401
+from . import commands, heattrace, identities, torsion  # noqa: F401  and through them the rest
 from .entry import main
-from .identities import IDENTITY_CHOICES  # noqa: F401
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -38,8 +38,8 @@ EXIT_VERIFY_FAIL = 1
 
 EVAL_KINDS = ("ruelle-sigma", "selberg-sigma", "ruelle-rho", "selberg-rho", "F", "G")
 
-# Most points one ``eval --grid`` may ask for, refused before any is built.
-# The benchmark's largest grid has 80.
+# Most points one ``eval --grid`` or ``heat-trace --t-grid`` may ask for,
+# refused before any is built.  The benchmark's largest grid has 80.
 GRID_POINTS_MAX = 10_000
 # Most samples ``verify --samples`` may ask for, refused before any is drawn.
 # The battery draws 1000.
@@ -154,6 +154,8 @@ def _t_grid_points(t_grid: str) -> list[float]:
         raise CliError(usage)
     if npts < 4:
         raise CliError("--t-grid needs >= 4 points for a fit")
+    if npts > GRID_POINTS_MAX:
+        raise CliError(f"--t-grid allows at most {GRID_POINTS_MAX} points, got {npts}")
     ratio = (t1 / t0) ** (1.0 / (npts - 1))
     return [t0 * ratio ** j for j in range(npts)]
 

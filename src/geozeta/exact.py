@@ -28,9 +28,9 @@ process: the powers q_sqrt^e and u_half^e of each class, the denominator
 (1 - a)(1 - b) of each (class, power) and the symmetric-power trace of each
 (class, power, m).  Each lives in an ``lru_cache`` of at most
 ``EXACT_CACHE_SIZE`` (4096) entries; the default battery fills them with 942
-values in all.  Only these leaves are cached.  The per-identity cores
-(``_r_core``, ``_z_core``) and ``identity_terms`` are rebuilt on every call
-and reach the cached ``_denominators`` through the module namespace, so a
+values in all.  Only these leaves are cached.  The per-(class, power) core
+``_r_core`` and ``identity_terms`` are rebuilt on every call and reach the
+cached ``_denominators`` through the module namespace, so a
 helper replaced there (a fault injected by a test) is seen at once, and a
 warm cache never holds a value computed from a replaced helper.
 """
@@ -310,15 +310,11 @@ def _u_half_power(cls: ExactClass, e: int) -> GaussianRational:
     return cls.u_half ** e
 
 
-def _z_core(cls: ExactClass, mu: int, two_s: int, k: int, two_shift: int,
-            denom: GaussianRational) -> GaussianRational:
-    """Per-(class, power) log-series core of Z(sigma_k, s + shift):
-    u_half^(k mu) q_sqrt^((2s + 2 shift) mu) / ((1-a)(1-b)), with 2*shift integer."""
-    return _u_half_power(cls, k * mu) * _q_sqrt_power(cls, (two_s + two_shift) * mu) / denom
-
-
 def _r_core(cls: ExactClass, mu: int, two_s: int, k: int, two_shift: int) -> GaussianRational:
-    """Per-(class, power) log-series core of R(sigma_k, s + shift)."""
+    """Per-(class, power) log-series core of R(sigma_k, s + shift):
+    u_half^(k mu) q_sqrt^((2s + 2 shift) mu), with 2*shift integer.  Over the
+    (class, power)'s ``_denominators`` (1-a)(1-b) it is the core of
+    Z(sigma_k, s + shift)."""
     return _u_half_power(cls, k * mu) * _q_sqrt_power(cls, (two_s + two_shift) * mu)
 
 
@@ -365,15 +361,15 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
         denom = _denominators(cls, mu)
         rhs = GR_ZERO
         for l in range(m + 1):
-            rhs = rhs + _z_core(cls, mu, two_s, m - 2 * l + k, 2 * l - m, denom)
+            rhs = rhs + _r_core(cls, mu, two_s, m - 2 * l + k, 2 * l - m) / denom
         return lhs, rhs
     if identity_id == "four-selberg":
         denom = _denominators(cls, mu)
         lhs = _trace_core(cls, mu, m) * _q_sqrt_power(cls, two_s * mu)
-        rhs = (_z_core(cls, mu, two_s, m, -m, denom)
-               + _z_core(cls, mu, two_s, -m, m + 4, denom)
-               - _z_core(cls, mu, two_s, m + 2, -m + 2, denom)
-               - _z_core(cls, mu, two_s, -(m + 2), m + 2, denom))
+        rhs = (_r_core(cls, mu, two_s, m, -m) / denom
+               + _r_core(cls, mu, two_s, -m, m + 4) / denom
+               - _r_core(cls, mu, two_s, m + 2, -m + 2) / denom
+               - _r_core(cls, mu, two_s, -(m + 2), m + 2) / denom)
         return lhs, rhs
     if identity_id == "rho-selberg":
         denom = _denominators(cls, mu)
@@ -384,23 +380,16 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
                      - _r_core(cls, mu, two_s, 2, 2)
                      - _r_core(cls, mu, two_s, -2, 2))) / denom
         return lhs, rhs
-    if identity_id == "zograf-F":
-        # sum over k >= n of the R(sigma_-2k, s+k) cores, as an exact geometric series
-        denom = _denominators(cls, mu)
-        a = _q_sqrt_power(cls, 2 * mu) * _u_half_power(cls, 2 * mu).conj()
-        t = _q_sqrt_power(cls, two_s * mu)
-        lhs = t * a ** n / (GR_ONE - a)
-        rhs = (_z_core(cls, mu, two_s, -2 * n, 2 * n, denom)
-               - _z_core(cls, mu, two_s, -2 * (n - 1), 2 * (n + 1), denom))
-        return lhs, rhs
-    if identity_id == "zograf-G":
+    if identity_id in ("zograf-F", "zograf-G"):
+        # sum over k >= n of the R(sigma_-(2k+h), s+k+h/2) cores, h = 0 for F and
+        # 1 for G, as an exact geometric series; the right side is the Selberg ratio
+        h = int(identity_id == "zograf-G")
         denom = _denominators(cls, mu)
         half_a = _q_sqrt_power(cls, mu) * _u_half_power(cls, mu).conj()
-        a = half_a * half_a
         t = _q_sqrt_power(cls, two_s * mu)
-        lhs = t * half_a ** (2 * n + 1) / (GR_ONE - a)
-        rhs = (_z_core(cls, mu, two_s, -(2 * n + 1), 2 * n + 1, denom)
-               - _z_core(cls, mu, two_s, -(2 * n - 1), 2 * n + 3, denom))
+        lhs = t * half_a ** (2 * n + h) / (GR_ONE - half_a * half_a)
+        rhs = (_r_core(cls, mu, two_s, -(2 * n + h), 2 * n + h) / denom
+               - _r_core(cls, mu, two_s, -(2 * n - 2 + h), 2 * n + 2 + h) / denom)
         return lhs, rhs
     raise ValueError(f"unknown exact identity {identity_id!r}; "
                      f"one of {', '.join(EXACT_IDENTITIES)}")

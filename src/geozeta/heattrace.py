@@ -85,11 +85,10 @@ def heat_trace_geometric(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
     ws = list(range(m, -m - 1, -2))
     wave = -table.length ** 2 / (4.0 * t)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            rows = _log_series(table, ws, [1.0 - 0.5 * w for w in ws], selberg=True,
-                               shift=wave, factor=-table.length * weight * gauss)
-            hyper = fsum_complex(np.array(rows))
-    except (FloatingPointError, OverflowError):
+        rows = _log_series(table, ws, [1.0 - 0.5 * w for w in ws], selberg=True,
+                           shift=wave, factor=-table.length * weight * gauss)
+        hyper = fsum_complex(np.array(rows))
+    except (DomainError, OverflowError):
         length = float(table.length[np.argmax((0.5 * m - 1.0) * table.length + wave)])
         raise DomainError(f"m={m} is too large: the heat-trace terms of rho_{m} overflow a "
                           f"double at power length {length!r}") from None

@@ -11,6 +11,10 @@ and its battery parameters; the battery and the CLI both run from it, and
 every check reports as one ``IdentityReport``, which derives its verdict
 from the points it is given.
 
+A log sum becomes a value here as in the evaluators, through ``zeta._exp``:
+a side past a double's range raises ``DomainError``, and ``_run_grid`` flags
+its point.
+
 The three Zograf checks (``zograf-ratio``, ``corollary-FG`` and
 ``main-theorem``) take a parity, read once as h (0 for F_n, 1 for G_n, by
 ``torsion.parity_h``), and each is written once in n, h and the symmetric
@@ -81,9 +85,7 @@ from .exact import exact_battery
 from .numerics import fsum_complex, fsum_rows, log1m_array
 from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
                        powers_up_to)
-# the predictor lives in ``torsion``; its names stay importable from here
-from .torsion import (TorsionPrediction, parity_h, predict_torsion_ratio,  # noqa: F401
-                      theta_even, theta_odd)
+from .torsion import parity_h
 from .zeta import (EvalParams, _exp, _weight_budget, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
@@ -107,8 +109,12 @@ PR_SET_PDEATHSIG = 1
 
 
 def relative_residual(lhs: complex, rhs: complex) -> float:
-    """|lhs - rhs| / max(|lhs|, |rhs|), floored to avoid 0/0."""
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
+    """|lhs - rhs| / max(|lhs|, |rhs|), floored to avoid 0/0.  Two sides with
+    finite parts whose modulus passes a double's range compare halved."""
+    try:
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
+    except OverflowError:
+        return relative_residual(lhs / 2, rhs / 2)
 
 
 def log_relative_residual(log_lhs: complex, log_rhs: complex) -> float:
@@ -237,7 +243,7 @@ def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
             raise DomainError(f"det(1 - x rho_{m}) rounds to 0 on class {i} "
                               f"(length {cls.length!r}, m {m}); its log is undefined")
         class_logs.append(cls.multiplicity * cmath.log(det))
-    return cmath.exp(fsum_complex(class_logs))
+    return _exp(fsum_complex(class_logs))
 
 
 def _default_pq_max(spec: LengthSpectrum) -> int:
@@ -298,7 +304,7 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
         sums = fsum_rows(np.concatenate((logs.real, logs.imag)))
         class_logs += [cls.multiplicity * complex(re, im)
                        for cls, re, im in zip(chunk, sums, sums[len(chunk):])]
-    return cmath.exp(fsum_complex(class_logs))
+    return _exp(fsum_complex(class_logs))
 
 
 def selberg_sigma_bruteforce(spec: LengthSpectrum, k: int, s: complex,
@@ -356,7 +362,7 @@ def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                    + selberg_sigma(spec, -m, s + m / 2 + 2, p).log_value
                    - selberg_sigma(spec, m + 2, s - m / 2 + 1, p).log_value
                    - selberg_sigma(spec, -(m + 2), s + m / 2 + 1, p).log_value)
-        return relative_residual(lhs.value, cmath.exp(log_rhs)), lhs.flags
+        return relative_residual(lhs.value, _exp(log_rhs)), lhs.flags
 
     return _run_grid("four-selberg", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -373,7 +379,7 @@ def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                    + selberg_rho(spec, m, 0, s + 2, p).log_value
                    - selberg_rho(spec, m, 2, s + 1, p).log_value
                    - selberg_rho(spec, m, -2, s + 1, p).log_value)
-        return relative_residual(lhs.value, cmath.exp(log_rhs)), lhs.flags
+        return relative_residual(lhs.value, _exp(log_rhs)), lhs.flags
 
     return _run_grid("rho-selberg", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -414,8 +420,8 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
                    + selberg_sigma(spec, -(m + 2), s + n + h / 2, p).log_value
                    - selberg_sigma(spec, -m, s + n + (1 + h / 2), p).log_value
                    - selberg_sigma(spec, m + 2, s - n + (2 - h / 2), p).log_value)
-        lhs = cmath.exp(2.0 * f.log_value + ruelle_rho(spec, m, s, p).log_value)
-        return relative_residual(lhs, cmath.exp(log_rhs)), f.flags
+        lhs = _exp(2.0 * f.log_value + ruelle_rho(spec, m, s, p).log_value)
+        return relative_residual(lhs, _exp(log_rhs)), f.flags
 
     return _run_grid("corollary-FG", grid, point, tol, (f"n={n}", parity), n + (1.0 + h / 2))
 
@@ -449,7 +455,6 @@ def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvaria
         lhs = ruelle_rho(spec, m, s, p)
         log_rhs = (4.0 * s * dim * inv.volume / math.pi
                    + _ruelle_reflected_log(spec, inv, m, -s, p))
-        # a reflected side past a double's range flags its point
         return relative_residual(lhs.value, _exp(log_rhs)), ("reflected",)
 
     return _run_grid("ruelle-feq", grid, point, tol, (f"m={m}", FLAG_CIRCULAR), 2.0 + m / 2)
@@ -486,7 +491,7 @@ def verify_det_chain(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, grid
         log_lhs = log_det_a + log_det_b - log_ratio_10 \
             + 2.0 * s * dim * v_chain / math.pi
         rhs = ruelle_rho(spec, m, s, p)
-        return relative_residual(cmath.exp(log_lhs), rhs.value), rhs.flags
+        return relative_residual(_exp(log_lhs), rhs.value), rhs.flags
 
     return _run_grid("det-chain", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -540,20 +545,23 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     if n < 3 - h:
         raise DomainError(f"n={n} below threshold for the {parity} main theorem (n >= {3 - h})")
     m = 2 * n - 2 + h
-    log_lhs = 2.0 * (selberg_log_anywhere(ref, inv, m, (1.0 - h / 2) - n, p)
-                     + selberg_log_anywhere(spec, inv, -(m + 2), n + h / 2, p)
-                     - selberg_log_anywhere(spec, inv, -m, n + (1.0 + h / 2), p)
-                     - selberg_log_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p))
     coeff = (2 * n * n - 2 * n + 1.0 / 3.0, 2 * n * n - 1.0 / 6.0)[h]
-    log_rhs = (-(2.0 / math.pi) * coeff * cl.volume
-               - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))
-    # log-domain comparison: the closed form is e^(-O(n^2) Vol), far below any
-    # absolute floor, so the residual must stay scale free
-    point = GridPoint(0j, log_relative_residual(log_lhs, log_rhs), ("reflected",))
+
+    def point(s: complex):
+        log_lhs = 2.0 * (selberg_log_anywhere(ref, inv, m, (1.0 - h / 2) - n, p)
+                         + selberg_log_anywhere(spec, inv, -(m + 2), n + h / 2, p)
+                         - selberg_log_anywhere(spec, inv, -m, n + (1.0 + h / 2), p)
+                         - selberg_log_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p))
+        log_rhs = (-(2.0 / math.pi) * coeff * cl.volume
+                   - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))
+        # log-domain comparison: the closed form is e^(-O(n^2) Vol), far below
+        # any absolute floor, so the residual must stay scale free
+        return log_relative_residual(log_lhs, log_rhs), ("reflected",)
+
     flags = (f"n={n}", parity, "reflected")
     if claimed is None and reference_spectrum is None:
         flags = flags + (FLAG_CIRCULAR,)
-    return IdentityReport("main-theorem", tol, (point,), flags)
+    return _run_grid("main-theorem", (0j,), point, tol, flags)
 
 
 def special_case_low_n(inv: ManifoldInvariants, which: str) -> complex:

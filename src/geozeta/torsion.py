@@ -68,6 +68,7 @@ def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     Even parity (n >= 3): exp(6 pi i theta) exp((2/pi)(6n^2-6n+1) V) F_n(0)^12
     with V the complex volume Vol + i 2 pi^2 CS.  Odd parity (n >= 2):
     exp(2 pi i theta) exp((2/pi)(2n^2-1/6)(Vol + i 3 pi^2 eta_1)) G_n(0)^4.
+    A value past a double's range raises ``DomainError`` naming n and parity.
     """
     p = p or EvalParams.for_spectrum(spec)
     cv = inv.complex_volume
@@ -78,15 +79,14 @@ def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
             "use special-case evaluator")
     theta = (theta_even, theta_odd)[h](inv, n)
     f = (zograf_F, zograf_G)[h](spec, n, 0.0, p)
-    if h == 0:
-        coeff = 6 * n * n - 6 * n + 1
-        value = (cmath.exp(6j * math.pi * theta)
-                 * cmath.exp((2.0 / math.pi) * coeff * complex(cv.re, cv.im))
-                 * f.value ** 12)
-    else:
-        coeff = 2 * n * n - 1.0 / 6.0
-        im_part = 3.0 * math.pi * math.pi * eta_lookup(inv, 1)
-        value = (cmath.exp(2j * math.pi * theta)
-                 * cmath.exp((2.0 / math.pi) * coeff * complex(inv.volume, im_part))
-                 * f.value ** 4)
+    coeff = (6 * n * n - 6 * n + 1, 2 * n * n - 1.0 / 6.0)[h]
+    volume = (complex(cv.re, cv.im) if h == 0
+              else complex(inv.volume, 3.0 * math.pi * math.pi * eta_lookup(inv, 1)))
+    try:
+        value = (cmath.exp((6j, 2j)[h] * math.pi * theta)
+                 * cmath.exp((2.0 / math.pi) * coeff * volume) * f.value ** (12, 4)[h])
+        if not cmath.isfinite(value):  # a product of finite factors past a double
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"the {parity} prediction at n={n} overflows a double") from None
     return TorsionPrediction(n, parity, value, theta, f.value, cv)

@@ -10,8 +10,12 @@ name its two members.
 
 Every evaluator sums the log of its product over the deterministic power
 enumeration (ascending total length, ties by entry index then power),
-truncated at total length l_cut, and exponentiates once at the end.  One
-kernel, ``_log_series``, sums every such series over the spectrum's cached
+truncated at total length l_cut, and exponentiates once at the end, in
+``_exp``.  ``_combine`` builds every ``ZetaValue`` from its factors: a
+Ruelle or Selberg sigma value and a symmetric-power product are one
+``_weight_product`` of (k, s) rows, the Zograf ratio is the quotient of two
+Selberg values and the direct Zograf sum is one factor.  One kernel,
+``_log_series``, sums every such series over the spectrum's cached
 ``PowerTable``, rows (k, s) in blocks, each row correctly rounded by
 ``numerics.fsum_rows``.  A Ruelle or Selberg sigma series is one row (the
 Selberg double product over (p, q) >= 0 summed in closed form per power), a
@@ -40,10 +44,11 @@ bits.
 
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
-checks need both sides of a formula on a common grid.  A value whose
-exponential overflows a double raises ``DomainError`` instead, naming the
-log value.  Double-precision complex arithmetic throughout; no
-extended-precision mode in this version.
+checks need both sides of a formula on a common grid.  A log whose
+exponential overflows a double raises ``DomainError`` from ``_exp`` instead,
+naming the log value (the identity checks exponentiate through it too).
+Double-precision complex arithmetic throughout; no extended-precision mode
+in this version.
 """
 
 from __future__ import annotations
@@ -166,14 +171,6 @@ def _factor(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
     return _Factor(log_value, bound, heuristic, flags)
 
 
-def _finish(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
-            in_domain: bool, **factor_args) -> ZetaValue:
-    # the value whose log, bound and flags ``_factor`` gives
-    factor = _factor(spec, p, log_value, re_eff, in_domain, **factor_args)
-    return ZetaValue(_exp(log_value), log_value, factor.abs_error_bound,
-                     factor.heuristic_bound, in_domain, p.l_cut, factor.flags)
-
-
 def _selberg_prefactor(spec: LengthSpectrum) -> float:
     """Bound on 1/|(1-e^-m(l+it))(1-e^-m(l-it))| over all classes and powers:
     each factor is at least 1 - e^-ml, least at the shortest length and m = 1."""
@@ -243,21 +240,27 @@ def _log_series(table: PowerTable, ks: list[int], ss: list[complex], selberg: bo
     ``_coefficients``), each term over the ``denominator`` if ``selberg``,
     then times ``factor``.  Rows are built in blocks of at most
     ``ZOGRAF_BLOCK`` elements (or one row), and one ``fsum_rows`` call sums
-    each block."""
+    each block.  A term or a sum past a double's range raises ``DomainError``."""
     per_block = max(1, ZOGRAF_BLOCK // max(1, len(table)))
     sums = []
-    for i in range(0, len(ks), per_block):
-        exponent = -np.array(ss[i:i + per_block])[:, None] * table.length
-        if shift is not None:
-            exponent += shift
-        terms = _coefficients(table, ks[i:i + per_block]) * np.exp(exponent, out=exponent)
-        del exponent  # only the terms stay alive through the sum
-        if selberg:
-            terms /= table.denominator
-        if factor is not None:
-            terms *= factor
-        parts = fsum_rows(np.concatenate((terms.real, terms.imag)))
-        sums += [complex(re, im) for re, im in zip(parts, parts[len(parts) // 2:])]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(0, len(ks), per_block):
+                exponent = -np.array(ss[i:i + per_block])[:, None] * table.length
+                if shift is not None:
+                    exponent += shift
+                terms = _coefficients(table, ks[i:i + per_block]) * np.exp(exponent, out=exponent)
+                del exponent  # only the terms stay alive through the sum
+                if selberg:
+                    terms /= table.denominator
+                if factor is not None:
+                    terms *= factor
+                parts = fsum_rows(np.concatenate((terms.real, terms.imag)))
+                sums += [complex(re, im) for re, im in zip(parts, parts[len(parts) // 2:])]
+    except (FloatingPointError, OverflowError):
+        s = min(ss, key=lambda x: x.real)
+        raise DomainError(f"a log-series term or sum down to s={s!r} passes a double's "
+                          "range") from None
     return sums
 
 
@@ -323,8 +326,7 @@ def ruelle_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Zet
     global enumeration, so each (class, m) contributes -sigma_k(power) e^(-s L) / m.
     """
     s = complex(s)
-    log_value = _SIGMA_LOGS(spec, p.l_cut, [k], [s], False)[0]
-    return _finish(spec, p, log_value, s.real, s.real > 2.0)
+    return _weight_product(spec, [k], [s], p, False, s.real > 2.0)
 
 
 def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> ZetaValue:
@@ -334,14 +336,12 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
     -sigma_k(power) e^(-s L) / (m (1-e^-m(l+it)) (1-e^-m(l-it))).
     """
     s = complex(s)
-    log_value = _SIGMA_LOGS(spec, p.l_cut, [k], [s], True)[0]
-    return _finish(spec, p, log_value, s.real, s.real > 2.0,
-                   prefactor=_selberg_prefactor(spec) if spec.entries else 1.0)
+    return _weight_product(spec, [k], [s], p, True, s.real > 2.0)
 
 
 def _combine(p: EvalParams, num: list[ZetaValue | _Factor], den: list[ZetaValue | _Factor],
              in_domain: bool, flags: tuple[str, ...] = ()) -> ZetaValue:
-    """The product of ``num`` over the product of ``den``.
+    """The product of ``num`` over the product of ``den``, as a ``ZetaValue``.
 
     Logs add with their sign, error bounds add, one heuristic factor makes the
     result heuristic.  The factors' flags merge in first-seen order without
@@ -366,7 +366,7 @@ def _weight_product(spec: LengthSpectrum, ks: list[int], ss: list[complex], p: E
                     selberg: bool, in_domain: bool) -> ZetaValue:
     """The product over rows i of the Ruelle or Selberg sigma_{ks[i]} value at
     ss[i], each row's log series looked up or summed in one kernel call, its
-    factors combined as whole values are."""
+    factors combined by ``_combine``."""
     logs = _SIGMA_LOGS(spec, p.l_cut, ks, ss, selberg)
     prefactor = _selberg_prefactor(spec) if selberg and spec.entries else 1.0
     for row in logs:  # a factor whose value alone overflows a double is refused
@@ -410,6 +410,7 @@ def _zograf(spec: LengthSpectrum, n: int, h: int, s: complex, p: EvalParams,
     if method == "auto":
         method = "ratio" if s.real + n + h / 2 > 2.0 else "direct"
     if method == "ratio":
+        # whole selberg_sigma values, which the benchmark's tracer counts
         num = selberg_sigma(spec, -(2 * n + h), s + n + h / 2, p)
         den = selberg_sigma(spec, -(2 * (n - 1) + h), s + n + (1 + h / 2), p)
         return _combine(p, [num], [den], in_domain, (FLAG_RATIO,))
@@ -428,8 +429,9 @@ def _zograf(spec: LengthSpectrum, n: int, h: int, s: complex, p: EvalParams,
     k_tail = fsum_real(table.weight * np.exp(lead) * np.exp(rest)
                        / (1.0 - np.exp(-table.length))) * (2 if table.mirrored else 1)
     # layer k sits at exponent Re(s) + k + h/2, up to the top layer's
-    return _finish(spec, p, log_value, s.real + (n + h / 2), in_domain, extra_bound=k_tail,
-                   flags=(FLAG_DIRECT,), re_top=s.real + (n + k_top + h / 2))
+    return _combine(p, [_factor(spec, p, log_value, s.real + (n + h / 2), in_domain,
+                                extra_bound=k_tail, flags=(FLAG_DIRECT,),
+                                re_top=s.real + (n + k_top + h / 2))], [], in_domain)
 
 
 @lru_cache(maxsize=128)

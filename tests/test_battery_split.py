@@ -19,7 +19,7 @@ import pytest
 
 import geozeta
 from geozeta import fixtures, identities, zeta
-from geozeta.cli import _strict
+from geozeta.commands import _strict
 from geozeta.continuation import EtaNotSuppliedError, ManifoldInvariants
 from geozeta.identities import IDENTITIES, battery_reports
 from geozeta.spectrum import GeodesicEntry, LengthSpectrum, powers_up_to

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from geozeta import entry, exact, fixtures, identities, spectrum, zeta
-from geozeta.cli import GRID_POINTS_MAX, IDENTITY_CHOICES, SAMPLES_MAX, _emit, _strict, main
-from geozeta.commands import INDEX_MAX
+from geozeta.commands import GRID_POINTS_MAX, INDEX_MAX, SAMPLES_MAX, _emit, _strict
 from geozeta.continuation import serialize_invariants
+from geozeta.entry import main
 from geozeta.heattrace import heat_trace_geometric
-from geozeta.identities import (CHECK_M_MAX, IDENTITIES, predict_torsion_ratio,
+from geozeta.identities import (CHECK_M_MAX, IDENTITIES, IDENTITY_CHOICES,
                                 verify_ruelle_decomposition)
 from geozeta.spectrum import DomainError, serialize_spectrum
+from geozeta.torsion import predict_torsion_ratio
 
 EMPTY_DOC = json.dumps({"label": "empty", "oriented": True, "l_max": 1.0, "entries": []})
 SINGLE_DOC = json.dumps({"label": "one", "oriented": True, "l_max": 40.0,
@@ -443,6 +444,26 @@ def test_grid_cap_refuses_before_allocating(spec_file, capsys):
                  "--grid", f"3,4,{GRID_POINTS_MAX + 1},0"]) == 2
 
 
+def test_t_grid_cap_refuses_before_allocating(spec_file, inv_file, capsys):
+    # a million points ran past 8 s, and 10^8 would build a list of 10^8 floats
+    tracemalloc.start()
+    try:
+        code = main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                     "--fit", "--t-grid", "1e-3,1e-2,100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --t-grid allows at most {GRID_POINTS_MAX} points, got 100000000\n"
+    assert peak < 1_000_000
+    assert main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                 "--fit", "--t-grid", f"1e-3,1e-2,{GRID_POINTS_MAX + 1}"]) == 2
+    assert main(["heat-trace", "--spectrum", spec_file, "--invariants", inv_file,
+                 "--fit", "--t-grid", "1e-3,1e-2,40"]) == 0
+
+
 def test_samples_over_the_limit_exit_2_before_sampling(capsys, monkeypatch):
     monkeypatch.setattr(identities, "verify_reflection_involution",
                         lambda **kwargs: pytest.fail("sampled"))
@@ -576,6 +597,42 @@ def test_a_reflected_value_past_a_double_keeps_its_log(spec_file, volume8_file, 
     assert err == ""
     doc = strict_loads(out)
     assert doc["passed"] and all(pt["residual"] <= 1e-11 for pt in doc["points"])
+
+
+@pytest.mark.parametrize("n, parity", [(6, "even"), (9, "odd")])
+def test_a_prediction_past_a_double_exits_2(spec_file, volume8_file, capsys, n, parity):
+    # with volume 8 the closed form's volume exponential passes a double's range
+    # at even n >= 6 and odd n >= 9, and the products of its factors ended in an
+    # OverflowError; the n before still fits and reports
+    argv = ["predict-torsion", "--spectrum", spec_file, "--invariants", volume8_file,
+            "--parity", parity]
+    assert entry.main([*argv, "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the {parity} prediction at n={n} overflows a double\n"
+    assert entry.main([*argv, "--n", str(n - 1)]) == 0
+    assert all(math.isfinite(x) for x in strict_loads(capsys.readouterr().out)["value"])
+
+
+@pytest.mark.parametrize("identity", ["prop-ruelle-dec", "selberg-rho-dec", "all"])
+def test_an_oracle_past_a_double_flags_its_points(tmp_path, inv_file, capsys, identity):
+    # one class of multiplicity 10^6: the oracles' class-log sums pass 709.78
+    # at m = 1, and their exponentials ended in an OverflowError traceback
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"label": "one", "oriented": True, "l_max": 12.0,
+                                "entries": [{"length": 1.0, "angle": 0.0, "spin_sign": -1,
+                                             "multiplicity": 10 ** 6}]}))
+    assert entry.main(["verify", "--identity", identity, "--m", "1", "--spectrum", str(spec),
+                       "--invariants", inv_file]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = strict_loads(out)
+    reports = doc["reports"] if identity == "all" else [doc]
+    overflowed = [pt for r in reports for pt in r["points"]
+                  if pt["flags"][0].startswith("error: exp of the log series")]
+    assert overflowed and all(pt["residual"] is None for pt in overflowed)
+    if identity != "all":
+        assert len(overflowed) == len(doc["points"])
 
 
 def test_a_zograf_check_at_large_n_warns_nothing(spec_file, capsys, recwarn):

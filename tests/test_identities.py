@@ -6,15 +6,14 @@ import re
 import pytest
 
 from geozeta import identities, spectrum
-from geozeta.cli import _strict
+from geozeta.commands import _strict
 from geozeta.continuation import EtaNotSuppliedError, ManifoldInvariants
 from geozeta.exact import ExactCheckResult, GaussianRational, TermFailure, exact_battery
 from geozeta.identities import (IDENTITIES, GridPoint, IdentityReport,
                                 _ruelle_reflected_log, battery_reports,
                                 default_grid, run_identity, verify_exact_oracle,
-                                main_theorem_residual, predict_torsion_ratio,
-                                relative_residual, special_case_low_n, theta_even,
-                                theta_odd, verify_corollary_FG, verify_det_chain,
+                                main_theorem_residual, relative_residual,
+                                special_case_low_n, verify_corollary_FG, verify_det_chain,
                                 verify_four_selberg_quotient,
                                 verify_reflection_involution,
                                 verify_rho_selberg_quotient,
@@ -22,6 +21,7 @@ from geozeta.identities import (IDENTITIES, GridPoint, IdentityReport,
                                 verify_ruelle_functional_equation,
                                 verify_selberg_rho_decomposition, verify_zograf_ratio)
 from geozeta.spectrum import TWO_PI, DomainError, GeodesicEntry, LengthSpectrum, flip_spins
+from geozeta.torsion import predict_torsion_ratio, theta_even, theta_odd
 from geozeta.zeta import (EvalParams, ruelle_rho, selberg_rho, selberg_sigma, zograf_F,
                           zograf_G)
 import scalar_reference

@@ -4,7 +4,10 @@ Whatever identity, spectrum, invariants and parameters ``verify`` is given,
 it either reports (exit 0 or 1, strict JSON on stdout whose ``passed``
 agrees with the exit code, nothing on stderr) or refuses (exit 2, nothing on
 stdout and exactly one line on stderr), raises nothing, warns nothing and
-ends within the deadline.
+ends within the deadline.  ``assert_contract`` checks this for any command.
+The arguments are fuzzed on the two fixture spectra, and the spectrum's
+contents on one-entry spectra: any length, angle, spin and multiplicity up
+to 10^9, whose log sums pass a double's range in either direction.
 
 Small values are drawn for speed.  Each explicit limit is drawn on both of
 its sides, as a mark resolved against the drawn spectrum, cutoff, identity
@@ -20,15 +23,14 @@ import warnings
 from datetime import timedelta
 from pathlib import Path
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from geozeta import entry, fixtures
 from geozeta.chars import eigenvalue
 from geozeta.commands import INDEX_MAX, SAMPLES_MAX
 from geozeta.identities import CHECK_M_MAX, IDENTITIES, IDENTITY_CHOICES
-from geozeta.spectrum import POWER_BUDGET, DomainError, parse_spectrum, powers_up_to
+from geozeta.spectrum import TWO_PI, POWER_BUDGET, DomainError, parse_spectrum, powers_up_to
 
 HERE = Path(fixtures.__file__).parent
 SPECTRA = {name: parse_spectrum((HERE / f"spectrum_{name}.json").read_text())
@@ -42,16 +44,6 @@ ints = st.one_of(st.integers(-2, 4), st.sampled_from(MARKS))
 FUZZ = settings(max_examples=60, deadline=timedelta(seconds=30), derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture,
                                        HealthCheck.too_slow])
-
-
-@pytest.fixture(scope="module")
-def invariants_files(tmp_path_factory):
-    # the shipped invariants, and a volume-8 set with eta for weights 1-20,
-    # whose reflected Selberg values pass a double at larger n and m
-    big = tmp_path_factory.mktemp("inv") / "volume8.json"
-    big.write_text(json.dumps({"label": "volume-8", "volume": 8.0, "cs": 0.1,
-                               "eta": {str(k): 0.1 for k in range(1, 21)}}))
-    return (str(HERE / "invariants_synthetic.json"), str(big))
 
 
 def work_limit(spec, l_cut) -> int:
@@ -91,12 +83,16 @@ def resolve(mark, name, identity, parity, spec, l_cut) -> int:
     return -value if offset < 0 else value + offset
 
 
-def assert_verify_contract(capsys, argv):
+def assert_contract(capsys, argv):
+    """Run ``geozeta *argv`` in process: it reports (exit 0, or 1 for a
+    failed verification, strict JSON or a ``--csv`` table on stdout, nothing
+    on stderr) or refuses (exit 2, nothing on stdout, one stderr line), and
+    warns nothing."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rc = entry.main(["verify", *argv])
+            rc = entry.main(argv)
         except SystemExit as exc:  # an argparse usage error
             rc = exc.code
     out, err = capsys.readouterr()
@@ -104,12 +100,16 @@ def assert_verify_contract(capsys, argv):
     if rc == 2:
         assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1, (out, err)
         return
-    assert rc in (0, 1) and err == "", (rc, err)
+    assert rc in ((0, 1) if argv[0] == "verify" else (0,)) and err == "", (rc, err)
+    if "--csv" in argv:
+        assert out.startswith("s_re,s_im,")
+        return
 
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
     doc = json.loads(out, parse_constant=reject)
-    assert doc["passed"] is (rc == 0)
+    if argv[0] == "verify":
+        assert doc["passed"] is (rc == 0)
 
 
 @FUZZ
@@ -135,4 +135,30 @@ def test_verify_arguments(capsys, invariants_files, identity, spectrum, volume8,
         argv += ["--l-cut", repr(l_cut)]
     if allow_incomplete:
         argv.append("--allow-incomplete")
-    assert_verify_contract(capsys, argv)
+    assert_contract(capsys, ["verify", *argv])
+
+
+@FUZZ
+@given(identity=st.sampled_from(IDENTITY_CHOICES),
+       length=st.one_of(st.floats(1e-3, 12.0), st.sampled_from([1e-300, 1e-17, 0.05, 1.0, 12.0])),
+       angle=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.sampled_from([0.0, math.pi])),
+       spin=st.sampled_from((1, -1)),
+       multiplicity=st.one_of(st.integers(1, 10 ** 9), st.sampled_from([1, 10 ** 6, 10 ** 9])),
+       oriented=st.booleans(), volume8=st.booleans(), parity=st.sampled_from(("even", "odd")),
+       m=st.integers(0, 3), k=st.integers(-2, 2), n=st.integers(0, 5))
+# the determinant oracle's class-log sum passed a double's range in an
+# OverflowError traceback
+@example(identity="prop-ruelle-dec", length=1.0, angle=0.0, spin=-1, multiplicity=10 ** 6,
+         oriented=True, volume8=False, parity="even", m=1, k=0, n=3)
+# both sides finite, of modulus past a double's range: |lhs| raised OverflowError
+@example(identity="prop-ruelle-dec", length=1.0, angle=0.8999999999999999, spin=-1,
+         multiplicity=11548, oriented=True, volume8=False, parity="even", m=1, k=0, n=3)
+def test_verify_one_entry_spectra(capsys, invariants_files, tmp_path_factory, identity, length,
+                                  angle, spin, multiplicity, oriented, volume8, parity, m, k, n):
+    path = tmp_path_factory.getbasetemp() / "one-entry.json"
+    path.write_text(json.dumps({"label": "one", "oriented": oriented, "l_max": 12.0,
+                                "entries": [{"length": length, "angle": angle, "spin_sign": spin,
+                                             "multiplicity": multiplicity}]}))
+    assert_contract(capsys, ["verify", "--identity", identity, "--spectrum", str(path),
+                             "--invariants", invariants_files[volume8], "--parity", parity,
+                             "--m", str(m), "--k", str(k), "--n", str(n), "--samples", "20"])

@@ -327,7 +327,7 @@ def test_a_symmetric_power_point_is_one_kernel_call(monkeypatch, small_spec):
     s = complex(3.0 + m / 2, 0.3)
     rows = [(m - 2 * l, s - m / 2 + l) for l in range(m + 1)]
     start = time.perf_counter()
-    want = zeta._combine(p, [zeta._finish(small_spec, p, zeta._log_series(table, [k], [x])[0],
+    want = zeta._combine(p, [zeta._factor(small_spec, p, zeta._log_series(table, [k], [x])[0],
                                           x.real, x.real > 2.0) for k, x in rows], [], True)
     per_row = time.perf_counter() - start
     calls = []
