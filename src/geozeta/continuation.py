@@ -13,10 +13,10 @@ reflection away from it, and no small-eigenvalue data is available to do
 better.  Eta values are stored as plain reals with no mod-2 reduction; they
 enter only through exp(i pi eta).
 
-The identity checks that compare logs read ``selberg_log_anywhere``, which
-never exponentiates, so a reflected value past a double's range still has
-its finite log; ``selberg_anywhere`` is that log's exponential with its
-error bound and flags.
+``selberg_anywhere`` returns a ``ZetaValue``, which stores the log: a
+reflected value past a double's range keeps its finite ``log_value``, which
+the identity checks add, and only reading its ``value`` raises
+``DomainError``.
 
 Importing this module loads no numpy and no evaluator: ``selberg_anywhere``
 imports ``zeta`` when it is called, so parsing invariants (``geozeta
@@ -181,29 +181,6 @@ def reflect_selberg(inv: ManifoldInvariants, k: int, s: complex,
     return cmath.exp(reflection_log_factor(inv, k, s)) * value_at_reflected
 
 
-def _continued(spec: LengthSpectrum, inv: ManifoldInvariants, k: int, s: complex,
-               p: EvalParams) -> tuple[complex, ZetaValue]:
-    # log Z(sigma_k, s), and the convergent Selberg value it is read from
-    from .zeta import selberg_sigma
-
-    s = complex(s)
-    if s.real > 2.0:
-        base = selberg_sigma(spec, k, s, p)
-        return base.log_value, base
-    if s.real < 0.0:
-        base = selberg_sigma(spec, -k, 2.0 - s, p)
-        return reflection_log_factor(inv, k, s - 1.0) + base.log_value, base
-    raise DomainError(
-        f"strip not reachable by one reflection: Re(s)={s.real} lies in [0, 2]")
-
-
-def selberg_log_anywhere(spec: LengthSpectrum, inv: ManifoldInvariants, k: int,
-                         s: complex, p: EvalParams) -> complex:
-    """log Z(sigma_k, s) by the route of ``selberg_anywhere``, never
-    exponentiated: a reflected value past a double's range keeps its finite log."""
-    return _continued(spec, inv, k, s, p)[0]
-
-
 def selberg_anywhere(spec: LengthSpectrum, inv: ManifoldInvariants, k: int,
                      s: complex, p: EvalParams) -> ZetaValue:
     """Z(sigma_k, s) for Re(s) > 2 (direct) or Re(s) < 0 (one reflection).
@@ -211,15 +188,17 @@ def selberg_anywhere(spec: LengthSpectrum, inv: ManifoldInvariants, k: int,
     In the reflected branch the convergent value Z(sigma_-k, 2-s) is computed
     first and the functional equation is applied with the substitution
     s -> s-1; the result is flagged "reflected".  Arguments in the strip
-    0 <= Re(s) <= 2 are rejected.  The value is the exponential of
-    ``selberg_log_anywhere``; one that overflows a double raises
-    ``DomainError``.
+    0 <= Re(s) <= 2 are rejected.
     """
-    from .zeta import FLAG_REFLECTED, ZetaValue, _exp
+    from .zeta import FLAG_REFLECTED, ZetaValue, selberg_sigma
 
-    log_value, base = _continued(spec, inv, k, s, p)
-    if complex(s).real > 2.0:
-        return base
-    return ZetaValue(_exp(log_value), log_value, base.abs_error_bound,
-                     base.heuristic_bound, False, base.l_cut,
+    s = complex(s)
+    if s.real > 2.0:
+        return selberg_sigma(spec, k, s, p)
+    if not s.real < 0.0:
+        raise DomainError(
+            f"strip not reachable by one reflection: Re(s)={s.real} lies in [0, 2]")
+    base = selberg_sigma(spec, -k, 2.0 - s, p)
+    return ZetaValue(reflection_log_factor(inv, k, s - 1.0) + base.log_value,
+                     base.abs_error_bound, base.heuristic_bound, False, base.l_cut,
                      base.flags + (FLAG_REFLECTED,))

@@ -24,7 +24,7 @@ The two oracles never read the power table the closed-form evaluators share.
 The brute-force oracle multiplies out the literal (p, q) double product: per
 primitive class one array row holds every factor, its logs come from
 ``numerics.log1m_array`` and each row is summed correctly rounded by
-``numerics.fsum_rows``.  Classes go through in chunks of at most
+``numerics.fsum_complex_rows``.  Classes go through in chunks of at most
 ``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), and one class's
 row of (m + 1) x (p, q) factors, which is not split, may hold at most
 ``ORACLE_ROW_MAX`` (2^16), so the oracle's memory is bounded by these
@@ -80,9 +80,9 @@ import numpy as np
 
 from .chars import eigenvalue, sigma_char, trace_rho
 from .continuation import (EtaNotSuppliedError, ManifoldInvariants, eta_lookup,
-                           reflect_selberg, selberg_log_anywhere)
+                           reflect_selberg, selberg_anywhere)
 from .exact import exact_battery
-from .numerics import fsum_complex, fsum_rows, log1m_array
+from .numerics import fsum_complex, fsum_complex_rows, log1m_array
 from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
                        powers_up_to)
 from .torsion import parity_h
@@ -99,10 +99,6 @@ ORACLE_CHUNK = 2 ** 14
 ORACLE_ROW_MAX = 2 ** 16
 # (spectrum, m) pairs whose Newton coefficients the determinant oracle keeps
 NEWTON_CACHE_SIZE = 128
-# Largest m of a check (for corollary-FG, m = 2n - 2 + h): its up to 40 products
-# of m + 1 weight rows, one call per row, take about 3 s on 2 cores; the work
-# limit alone let det-chain run 90 s at m = 66665 on a 15-row table.
-CHECK_M_MAX = 1024
 FLAG_CIRCULAR = "circular-given-functional-equation"
 # prctl option: the signal a process gets when its parent ends
 PR_SET_PDEATHSIG = 1
@@ -301,9 +297,8 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
              * (b ** exponents)[:, qq] * _column([cmath.exp(-s * cls.length) for cls in chunk]))
         x = (_column(lams[start:start + per_chunk]) ** weights)[:, :, None] * c[:, None, :]
         logs = log1m_array(x).reshape(len(chunk), -1)
-        sums = fsum_rows(np.concatenate((logs.real, logs.imag)))
-        class_logs += [cls.multiplicity * complex(re, im)
-                       for cls, re, im in zip(chunk, sums, sums[len(chunk):])]
+        class_logs += [cls.multiplicity * log
+                       for cls, log in zip(chunk, fsum_complex_rows(logs))]
     return _exp(fsum_complex(class_logs))
 
 
@@ -432,11 +427,11 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
 def _ruelle_reflected_log(spec: LengthSpectrum, inv: ManifoldInvariants, m: int,
                           s: complex, p: EvalParams) -> complex:
     """log R_rho_m(s) assembled from the four-Selberg quotient, every factor
-    evaluated through selberg_log_anywhere (reflection where needed)."""
-    return (selberg_log_anywhere(spec, inv, m, s - m / 2, p)
-            + selberg_log_anywhere(spec, inv, -m, s + m / 2 + 2, p)
-            - selberg_log_anywhere(spec, inv, m + 2, s - m / 2 + 1, p)
-            - selberg_log_anywhere(spec, inv, -(m + 2), s + m / 2 + 1, p))
+    evaluated through selberg_anywhere (reflection where needed)."""
+    return (selberg_anywhere(spec, inv, m, s - m / 2, p).log_value
+            + selberg_anywhere(spec, inv, -m, s + m / 2 + 2, p).log_value
+            - selberg_anywhere(spec, inv, m + 2, s - m / 2 + 1, p).log_value
+            - selberg_anywhere(spec, inv, -(m + 2), s + m / 2 + 1, p).log_value)
 
 
 def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvariants,
@@ -548,10 +543,10 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     coeff = (2 * n * n - 2 * n + 1.0 / 3.0, 2 * n * n - 1.0 / 6.0)[h]
 
     def point(s: complex):
-        log_lhs = 2.0 * (selberg_log_anywhere(ref, inv, m, (1.0 - h / 2) - n, p)
-                         + selberg_log_anywhere(spec, inv, -(m + 2), n + h / 2, p)
-                         - selberg_log_anywhere(spec, inv, -m, n + (1.0 + h / 2), p)
-                         - selberg_log_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p))
+        log_lhs = 2.0 * (selberg_anywhere(ref, inv, m, (1.0 - h / 2) - n, p).log_value
+                         + selberg_anywhere(spec, inv, -(m + 2), n + h / 2, p).log_value
+                         - selberg_anywhere(spec, inv, -m, n + (1.0 + h / 2), p).log_value
+                         - selberg_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p).log_value)
         log_rhs = (-(2.0 / math.pi) * coeff * cl.volume
                    - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))
         # log-domain comparison: the closed form is e^(-O(n^2) Vol), far below
@@ -673,9 +668,10 @@ def run_identity(identity_id: str, spec: LengthSpectrum | None,
                  tol: float = 1e-8, **params) -> IdentityReport:
     """One registered check.  Its parameters are checked before any grid point
     runs, so a bad index raises ``ValueError`` instead of erroring every point,
-    and so does an m (for corollary-FG, m = 2n - 2 + h) whose m + 1 weight rows
-    over the power table pass the work limit (``zeta._weight_budget``) or that
-    passes ``CHECK_M_MAX``; a table past the limit is left to the grid points."""
+    and so does an m (for corollary-FG, m = 2n - 2 + h) that ``zeta._weight_budget``
+    refuses: past ``zeta.M_MAX``, or with m + 1 weight rows over the power
+    table past the work limit; a table past the limit is left to the grid
+    points."""
     entry = IDENTITIES[identity_id]
     m = params.get("m")
     if m is not None and m < 0:
@@ -694,11 +690,8 @@ def run_identity(identity_id: str, spec: LengthSpectrum | None,
         try:
             table = powers_up_to(spec, (p or EvalParams.for_spectrum(spec)).l_cut)
         except DomainError:
-            pass  # a table past the budget is reported at each grid point
-        else:
-            _weight_budget(m, table)
-        if m > CHECK_M_MAX:
-            raise ValueError(f"{identity_id} needs m <= {CHECK_M_MAX}, got {m}")
+            table = None  # a table past the budget is reported at each grid point
+        _weight_budget(m, table)
     return entry.run(spec, inv, p, max(tol, entry.tol_floor), **params)
 
 

@@ -2,12 +2,13 @@
 
 All Euler products in this package are accumulated in log space as numpy
 term arrays.  ``fsum_complex`` sums such an array with each of the real and
-imaginary parts correctly rounded, and ``fsum_real`` sums a real array the
-same way, so the result does not depend on term order and rounding error
-does not grow with the number of factors.  Every evaluation is therefore
-bit-reproducible regardless of how callers parallelize across grid points.
+imaginary parts correctly rounded, ``fsum_complex_rows`` each row of a 2-D
+complex array, and ``fsum_real`` sums a real array the same way, so the
+result does not depend on term order and rounding error does not grow with
+the number of factors.  Every evaluation is therefore bit-reproducible
+regardless of how callers parallelize across grid points.
 
-Both are thin calls to ``fsum_rows``, which returns exactly ``math.fsum``'s
+All are thin calls to ``fsum_rows``, which returns exactly ``math.fsum``'s
 value for every row of a 2-D array: on ``tolist()`` for short rows, else
 in a few contiguous numpy passes.  Per row of n terms with largest magnitude
 M (Rump, Ogita and Oishi, *Accurate floating-point summation, part I*, SIAM
@@ -98,10 +99,18 @@ def fsum_real(terms) -> float:
     return fsum_rows(np.ravel(terms)[None, :])[0]
 
 
+def fsum_complex_rows(x) -> list[complex]:
+    """The correctly rounded sum of each row of a 2-D complex array, real and
+    imaginary parts apart: one ``fsum_rows`` call over the real rows
+    followed by the imaginary rows."""
+    x = np.asarray(x)
+    parts = fsum_rows(np.concatenate((x.real, x.imag)))
+    return [complex(re, im) for re, im in zip(parts, parts[len(x):])]
+
+
 def fsum_complex(terms) -> complex:
     """Correctly rounded sum of a complex array of any shape, real and imaginary parts apart."""
-    terms = np.ravel(terms)
-    return complex(*fsum_rows(np.stack((terms.real, terms.imag))))
+    return fsum_complex_rows(np.ravel(terms)[None, :])[0]
 
 
 def log1m_array(x: np.ndarray) -> np.ndarray:

@@ -10,17 +10,18 @@ name its two members.
 
 Every evaluator sums the log of its product over the deterministic power
 enumeration (ascending total length, ties by entry index then power),
-truncated at total length l_cut, and exponentiates once at the end, in
-``_exp``.  ``_combine`` builds every ``ZetaValue`` from its factors: a
-Ruelle or Selberg sigma value and a symmetric-power product are one
-``_weight_product`` of (k, s) rows, the Zograf ratio is the quotient of two
-Selberg values and the direct Zograf sum is one factor.  One kernel,
-``_log_series``, sums every such series over the spectrum's cached
-``PowerTable``, rows (k, s) in blocks, each row correctly rounded by
-``numerics.fsum_rows``.  A Ruelle or Selberg sigma series is one row (the
-Selberg double product over (p, q) >= 0 summed in closed form per power), a
-symmetric-power product one row per weight, the direct Zograf path one row
-per k-layer and the heat trace one per weight.
+truncated at total length l_cut.  A ``ZetaValue`` stores that log; its
+``value`` is the exponential, taken in ``_exp`` where it is read.  Every
+factor is a ``ZetaValue`` (built by ``_factor``), and ``_combine`` adds the
+factors' logs into the product's: a Ruelle or Selberg sigma value and a
+symmetric-power product are one ``_weight_product`` of (k, s) rows, the
+Zograf ratio is the quotient of two Selberg values and the direct Zograf
+sum is one factor.  One kernel, ``_log_series``, sums every such series over
+the spectrum's cached ``PowerTable``, rows (k, s) in blocks, each row
+correctly rounded by ``numerics.fsum_complex_rows``.  A Ruelle or Selberg
+sigma series is one row (the Selberg double product over (p, q) >= 0 summed
+in closed form per power), a symmetric-power product one row per weight, the
+direct Zograf path one row per k-layer and the heat trace one per weight.
 
 A term is -(multiplicity/m) sigma_k(power) times factors that depend on the
 power's length alone, so its coefficient column -(multiplicity/m) sigma_k
@@ -44,9 +45,13 @@ bits.
 
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
-checks need both sides of a formula on a common grid.  A log whose
-exponential overflows a double raises ``DomainError`` from ``_exp`` instead,
-naming the log value (the identity checks exponentiate through it too).
+checks need both sides of a formula on a common grid.  Nor does a log
+whose exponential passes a double's range: reading that value raises
+``DomainError`` from ``_exp``, naming the log (the identity checks
+exponentiate their log sums through it too), so a check that only adds logs
+runs.  Every symmetric-power index m is refused past ``M_MAX`` (1024), and
+past the work limit of m + 1 weight rows over the table
+(``_weight_budget``).
 Double-precision complex arithmetic throughout; no extended-precision mode
 in this version.
 """
@@ -61,11 +66,10 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import fsum_complex, fsum_real, fsum_rows
+from .numerics import fsum_complex, fsum_complex_rows, fsum_real
 from .spectrum import (POWER_BUDGET, DomainError, GrowthModel, LengthSpectrum, PowerTable,
                        powers_up_to, tail_bound)
 
@@ -83,26 +87,37 @@ LOG_SERIES_CACHE_SIZE = 4096
 # bytes of coefficient columns kept per power table, one complex per row
 # each: a 10^5-entry unoriented census table (241,690 rows) keeps two
 COLUMN_CACHE_BYTES = 2 ** 23
+# largest symmetric-power index m of any evaluator: each of the m + 1 weight
+# rows is a factor in Python, so the work limit alone let det-chain (up to 40
+# products) run 90 s at m = 66665 on a 15-row table, and one point on an
+# empty table take 4-9 s at m = 999999
+M_MAX = 1024
 
 
 @dataclass(frozen=True)
 class ZetaValue:
-    """One evaluated zeta object.
+    """One evaluated zeta object, or one factor of a product before
+    ``_combine`` takes it in.
 
-    ``log_value`` is the accumulated log series (value = exp(log_value); the
-    imaginary part is the series sum, not reduced to a principal branch).
+    ``log_value`` is the accumulated log series (the imaginary part is the
+    series sum, not reduced to a principal branch), and ``value`` is its
+    exponential, taken by ``_exp`` where it is read: a log past a double's
+    range is kept, and reading its value raises ``DomainError``.
     ``abs_error_bound`` bounds |delta log| from the omitted tail, hence the
     relative error of ``value`` up to second order; it is infinite when no
     bound is claimed (formal truncations outside the half-plane).
     """
 
-    value: complex
     log_value: complex
     abs_error_bound: float
     heuristic_bound: bool
     in_convergence_domain: bool
     l_cut: float
     flags: tuple[str, ...] = ()
+
+    @property
+    def value(self) -> complex:
+        return _exp(self.log_value)
 
 
 @dataclass(frozen=True)
@@ -138,19 +153,9 @@ def _exp(log_value: complex) -> complex:
         raise DomainError(f"exp of the log series {log_value!r} overflows a double") from None
 
 
-class _Factor(NamedTuple):
-    """One factor of a product before its exponential: the fields of a
-    ``ZetaValue`` that ``_combine`` reads."""
-
-    log_value: complex
-    abs_error_bound: float
-    heuristic_bound: bool
-    flags: tuple[str, ...]
-
-
 def _factor(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: float,
             in_domain: bool, extra_bound: float = 0.0, prefactor: float = 1.0,
-            flags: tuple[str, ...] = (), re_top: float | None = None) -> _Factor:
+            flags: tuple[str, ...] = (), re_top: float | None = None) -> ZetaValue:
     # the bound is rigorous only if the growth model covers every effective
     # exponent in [re_eff, re_top] the log series reaches
     flags = _base_flags(spec, p) + flags
@@ -168,7 +173,7 @@ def _factor(spec: LengthSpectrum, p: EvalParams, log_value: complex, re_eff: flo
         heuristic = True
     if not in_domain:
         flags = flags + (FLAG_FORMAL,)
-    return _Factor(log_value, bound, heuristic, flags)
+    return ZetaValue(log_value, bound, heuristic, in_domain, p.l_cut, flags)
 
 
 def _selberg_prefactor(spec: LengthSpectrum) -> float:
@@ -255,8 +260,7 @@ def _log_series(table: PowerTable, ks: list[int], ss: list[complex], selberg: bo
                     terms /= table.denominator
                 if factor is not None:
                     terms *= factor
-                parts = fsum_rows(np.concatenate((terms.real, terms.imag)))
-                sums += [complex(re, im) for re, im in zip(parts, parts[len(parts) // 2:])]
+                sums += fsum_complex_rows(terms)
     except (FloatingPointError, OverflowError):
         s = min(ss, key=lambda x: x.real)
         raise DomainError(f"a log-series term or sum down to s={s!r} passes a double's "
@@ -264,13 +268,16 @@ def _log_series(table: PowerTable, ks: list[int], ss: list[complex], selberg: bo
     return sums
 
 
-def _weight_budget(m: int, table: PowerTable) -> None:
-    # refuse m before any of its m + 1 weight rows over the table is built
+def _weight_budget(m: int, table: PowerTable | None) -> None:
+    # refuse m before any of its m + 1 weight rows over the table is built;
+    # without a table (one past its own budget) only the limit on m applies
     if m < 0:
         raise ValueError(f"symmetric-power index must be >= 0, got {m}")
-    if (m + 1) * max(1, len(table)) > POWER_BUDGET:
+    if table is not None and (m + 1) * max(1, len(table)) > POWER_BUDGET:
         raise DomainError(f"m={m} is too large: {m + 1} weights over {len(table)} power rows "
                           f"exceed the power budget of {POWER_BUDGET}")
+    if m > M_MAX:
+        raise DomainError(f"m={m} is too large: the limit on m is {M_MAX}")
 
 
 class _SeriesCache:
@@ -339,8 +346,8 @@ def selberg_sigma(spec: LengthSpectrum, k: int, s: complex, p: EvalParams) -> Ze
     return _weight_product(spec, [k], [s], p, True, s.real > 2.0)
 
 
-def _combine(p: EvalParams, num: list[ZetaValue | _Factor], den: list[ZetaValue | _Factor],
-             in_domain: bool, flags: tuple[str, ...] = ()) -> ZetaValue:
+def _combine(p: EvalParams, num: list[ZetaValue], den: list[ZetaValue], in_domain: bool,
+             flags: tuple[str, ...] = ()) -> ZetaValue:
     """The product of ``num`` over the product of ``den``, as a ``ZetaValue``.
 
     Logs add with their sign, error bounds add, one heuristic factor makes the
@@ -358,8 +365,8 @@ def _combine(p: EvalParams, num: list[ZetaValue | _Factor], den: list[ZetaValue 
     factors = num + den
     merged = dict.fromkeys(fl for f in factors for fl in f.flags if fl != FLAG_FORMAL)
     flags = tuple(merged) + flags + (() if in_domain else (FLAG_FORMAL,))
-    return ZetaValue(_exp(log_value), log_value, bound,
-                     any(f.heuristic_bound for f in factors), in_domain, p.l_cut, flags)
+    return ZetaValue(log_value, bound, any(f.heuristic_bound for f in factors), in_domain,
+                     p.l_cut, flags)
 
 
 def _weight_product(spec: LengthSpectrum, ks: list[int], ss: list[complex], p: EvalParams,
@@ -369,8 +376,6 @@ def _weight_product(spec: LengthSpectrum, ks: list[int], ss: list[complex], p: E
     factors combined by ``_combine``."""
     logs = _SIGMA_LOGS(spec, p.l_cut, ks, ss, selberg)
     prefactor = _selberg_prefactor(spec) if selberg and spec.entries else 1.0
-    for row in logs:  # a factor whose value alone overflows a double is refused
-        _exp(row)
     if p.growth is None and spec.entries and any(s.real > 2.0 for s in ss):
         p = EvalParams(p.l_cut, _growth_for(spec, p))  # fitted once, not per row
     factors = [_factor(spec, p, row, s.real, s.real > 2.0, prefactor=prefactor)

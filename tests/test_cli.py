@@ -12,8 +12,7 @@ from geozeta.commands import GRID_POINTS_MAX, INDEX_MAX, SAMPLES_MAX, _emit, _st
 from geozeta.continuation import serialize_invariants
 from geozeta.entry import main
 from geozeta.heattrace import heat_trace_geometric
-from geozeta.identities import (CHECK_M_MAX, IDENTITIES, IDENTITY_CHOICES,
-                                verify_ruelle_decomposition)
+from geozeta.identities import IDENTITIES, IDENTITY_CHOICES, verify_ruelle_decomposition
 from geozeta.spectrum import DomainError, serialize_spectrum
 from geozeta.torsion import predict_torsion_ratio
 
@@ -511,6 +510,11 @@ def test_verify_on_a_table_past_the_work_limit_flags_every_point(tmp_path, capsy
     assert len(doc["points"]) == 8
     assert all(pt["flags"][0].startswith("error: power budget exceeded: l_cut 12.0 needs "
                                          "12000000 powers") for pt in doc["points"])
+    # the limit on m needs no table: refused before any grid point
+    assert entry.main(["verify", "--spectrum", str(spec), "--identity", "four-selberg",
+                       "--m", str(zeta.M_MAX + 1)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: m={zeta.M_MAX + 1} is too large: the limit on m is {zeta.M_MAX}\n")
 
 
 def test_an_overflowing_trace_flags_every_point(spec_file, capsys):
@@ -635,6 +639,21 @@ def test_an_oracle_past_a_double_flags_its_points(tmp_path, inv_file, capsys, id
         assert len(overflowed) == len(doc["points"])
 
 
+def test_main_theorem_adds_the_logs_of_factors_past_a_double(tmp_path, inv_file, capsys):
+    # one class of multiplicity 10^6: the Selberg value under one reflected
+    # factor has log 74973.6, and the check, which only adds logs, was refused
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"label": "one", "oriented": True, "l_max": 12.0,
+                                "entries": [{"length": 1.0, "angle": 0.0, "spin_sign": -1,
+                                             "multiplicity": 10 ** 6}]}))
+    assert entry.main(["verify", "--identity", "main-theorem", "--n", "2", "--parity", "odd",
+                       "--spectrum", str(spec), "--invariants", inv_file]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (point,) = strict_loads(out)["points"]
+    assert math.isfinite(point["residual"]) and point["flags"] == ["reflected"]
+
+
 def test_a_zograf_check_at_large_n_warns_nothing(spec_file, capsys, recwarn):
     # at Re(s) near 2 - n, e^(-Re(s) L) alone overflows in the direct product's k-tail
     assert entry.main(["verify", "--identity", "zograf-ratio", "--n", "100",
@@ -646,13 +665,13 @@ def test_a_zograf_check_at_large_n_warns_nothing(spec_file, capsys, recwarn):
 def test_verify_m_past_the_check_limit_exits_2(spec_file, capsys):
     # up to 40 symmetric-power products of m + 1 weight rows per check:
     # det-chain took 90 s at m = 66665, which the work limit admits on this table
-    assert entry.main(["verify", "--identity", "four-selberg", "--m", str(CHECK_M_MAX + 1),
+    assert entry.main(["verify", "--identity", "four-selberg", "--m", str(zeta.M_MAX + 1),
                        "--spectrum", spec_file]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: four-selberg needs m <= {CHECK_M_MAX}, got {CHECK_M_MAX + 1}\n"
+    assert err == f"error: m={zeta.M_MAX + 1} is too large: the limit on m is {zeta.M_MAX}\n"
     # at the limit the check runs, and the determinant oracle's traces overflow
-    assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", str(CHECK_M_MAX),
+    assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", str(zeta.M_MAX),
                        "--spectrum", spec_file]) == 1
 
 

@@ -9,7 +9,8 @@ Each run takes one of the two fixture spectra and one of the two invariants
 files: the shipped one, and a volume-8 set whose closed forms pass a
 double's range at moderate n.  Each explicit limit is drawn on both of its
 sides: ``INDEX_MAX`` for every index, ``GRID_POINTS_MAX`` for ``--grid`` and
-``--t-grid``, and the work limit (``zeta._weight_budget``) for m.
+``--t-grid``, and for m the work limit (``zeta._weight_budget``) and
+``zeta.M_MAX``.
 """
 
 import math
@@ -18,11 +19,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geozeta.commands import EVAL_KINDS, GRID_POINTS_MAX, INDEX_MAX
+from geozeta.zeta import M_MAX
 from test_verify_fuzz import FUZZ, HERE, SPECTRA, assert_contract, work_limit
 
 # each limit as (name, offset): the last value on its admitted side, then the
 # first refused one
-MARKS = [("work", 0), ("work", 1), ("index", 0), ("index", 1), ("index", -1)]
+MARKS = [("work", 0), ("work", 1), ("m_max", 0), ("m_max", 1), ("index", 0), ("index", 1),
+         ("index", -1)]
 ints = st.one_of(st.integers(-2, 12), st.sampled_from(MARKS))
 counts = st.one_of(st.integers(-1, 12),
                    st.sampled_from([GRID_POINTS_MAX, GRID_POINTS_MAX + 1, 10 ** 6]))
@@ -41,6 +44,8 @@ def resolve(mark, spectrum, l_cut) -> int:
         spec = SPECTRA[spectrum]
         cut = l_cut if l_cut is not None and 0 < l_cut < math.inf else spec.l_max
         return work_limit(spec, cut) + offset
+    if limit == "m_max":
+        return M_MAX + offset
     return -INDEX_MAX if offset < 0 else INDEX_MAX + offset
 
 
@@ -61,7 +66,7 @@ def common(spectrum, l_cut, allow_incomplete) -> list[str]:
        l_cut=l_cuts, allow_incomplete=st.booleans())
 # the weight rows' terms passed a double's range in numpy warnings and a
 # "-inf + inf in fsum" error
-@example(kind="ruelle-rho", spectrum="medium", k=None, m=("work", 0), n=None, grid=False,
+@example(kind="ruelle-rho", spectrum="medium", k=None, m=("m_max", 0), n=None, grid=False,
          re0=0.0, re1=0.0, count=1, im=0.0, method="auto", csv=True, l_cut=None,
          allow_incomplete=False)
 def test_eval_arguments(capsys, kind, spectrum, k, m, n, grid, re0, re1, count, im, method, csv,

@@ -11,7 +11,7 @@ from geozeta.continuation import ManifoldInvariants
 from geozeta.heattrace import heat_trace_geometric, small_time_fit
 from geozeta.spectrum import (POWER_BUDGET, DomainError, GeodesicEntry, LengthSpectrum,
                               power_holonomy, powers_up_to)
-from geozeta.zeta import EvalParams, _weight_budget
+from geozeta.zeta import M_MAX, EvalParams, _weight_budget
 from scalar_reference import power_rows
 
 EMPTY = LengthSpectrum((), 1.0)
@@ -141,7 +141,12 @@ class TestHyperbolicTerm:
         assert len(table) == 0
         assert heat_trace_geometric(small_spec, invariants, 1000, 0, 1.0,
                                     params).hyperbolic_term == 0j
-        _weight_budget(POWER_BUDGET - 1, table)  # (m + 1) x 1 row is the budget itself
+        # (m + 1) x 1 row is the budget itself: the work limit admits it, M_MAX does not
+        with pytest.raises(DomainError, match=rf"^m={POWER_BUDGET - 1} is too large: the limit"):
+            _weight_budget(POWER_BUDGET - 1, table)
+        _weight_budget(M_MAX, table)
+        with pytest.raises(DomainError, match=rf"^m={M_MAX + 1} is too large: the limit on m"):
+            heat_trace_geometric(small_spec, invariants, M_MAX + 1, 0, 1.0, params)
         with pytest.raises(DomainError, match=rf"^m={POWER_BUDGET} is too large: "
                                               rf"{POWER_BUDGET + 1} weights over 0 power rows"):
             heat_trace_geometric(small_spec, invariants, POWER_BUDGET, 0, 1.0, params)

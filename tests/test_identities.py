@@ -310,6 +310,22 @@ class TestMainTheorem:
             main_theorem_residual(small_spec, invariants, 1, "odd")
 
 
+@pytest.mark.parametrize("identity, params", [("ruelle-feq", {"m": 1}),
+                                              ("main-theorem", {"n": 2, "parity": "odd"})])
+def test_reflected_checks_read_selberg_anywhere_by_its_global_name(
+        monkeypatch, small_spec, invariants, identity, params):
+    # the seam that fault tests and the benchmark's tracer rebind: four
+    # continued Selberg factors per point, at least one of them reflected
+    calls = []
+    original = identities.selberg_anywhere
+    monkeypatch.setattr(identities, "selberg_anywhere",
+                        lambda *args: calls.append(args[3]) or original(*args))
+    report = run_identity(identity, small_spec, invariants, **params)
+    assert report.passed
+    assert len(calls) == 4 * len(report.points)
+    assert any(complex(s).real < 0 for s in calls)
+
+
 class TestSpecialCases:
     def test_f1_closed_form(self):
         inv = ManifoldInvariants(3 * math.pi, 0.0, {1: 0.0, 2: 0.0})

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geozeta import numerics
-from geozeta.numerics import FSUM_ROWS_MIN, fsum_complex, fsum_real, fsum_rows
+from geozeta.numerics import (FSUM_ROWS_MIN, fsum_complex, fsum_complex_rows, fsum_real,
+                              fsum_rows)
 
 SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
             2.0 ** -1022, 2.0 ** -1074 * 3)
@@ -164,3 +165,14 @@ def test_callers_on_both_sides_of_the_crossover(monkeypatch, n):
     monkeypatch.setattr(numerics, "math", CountingFsum())
     assert [v.hex() for v in fsum_rows(np.stack((re, im)))] == want
     assert calls == ([n, n] if n < FSUM_ROWS_MIN else [])
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (2, 2 * FSUM_ROWS_MIN), (0, 4), (2, 0)])
+def test_complex_rows_sum_their_parts_apart(shape):
+    # each row's real and imaginary parts, as math.fsum sums them
+    rng = np.random.default_rng(shape[1])
+    x = (rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+         + 1j * rng.standard_normal(shape))
+    got = fsum_complex_rows(x)
+    assert [(v.real.hex(), v.imag.hex()) for v in got] == [
+        (math.fsum(row.real.tolist()).hex(), math.fsum(row.imag.tolist()).hex()) for row in x]

@@ -98,13 +98,18 @@ def loop_zograf_log(spec, s, l_cut, layer_char, layer_shift):
     return acc.value
 
 
-def loop_heat_hyperbolic(spec, m, p, t, l_cut):
-    acc = CompensatedSum()
+def heat_hyperbolic_terms(spec, m, p, t, l_cut):
     gauss = 1.0 / math.sqrt(4.0 * math.pi * t)
     for pw, _, base_length in enumerated_powers(spec, l_cut):
         weight = 1.0 if p == 0 else 2.0 * math.cos(pw.angle)
-        acc.add(pw.multiplicity * base_length * trace_rho(pw, m) / discriminant_D(pw)
-                * weight * gauss * math.exp(-pw.length ** 2 / (4.0 * t)))
+        yield (pw.multiplicity * base_length * trace_rho(pw, m) / discriminant_D(pw)
+               * weight * gauss * math.exp(-pw.length ** 2 / (4.0 * t)))
+
+
+def loop_heat_hyperbolic(spec, m, p, t, l_cut):
+    acc = CompensatedSum()
+    for term in heat_hyperbolic_terms(spec, m, p, t, l_cut):
+        acc.add(term)
     return acc.value
 
 
@@ -232,6 +237,10 @@ class TestFoldedMirrorsMatchExplicitMirrors:
 
     @settings(max_examples=40, deadline=None)
     @example([(0.5, 0.0, -1, 2), (0.8, math.pi, 1, 3), (1.1, math.pi, -1, 1)])
+    # the heat trace at m = 2, p = 0, t = 0.8 cancels to 7.5e-4, and the two
+    # tables' sums differ by 4.8e-13 of it: the terms' rounding, not a fault
+    @example([(1.0, 1.359375, 1, 2), (2.0, 1.71875, 1, 3), (2.375, 2.125, 1, 3),
+              (0.75, 2.0, 1, 1)])
     @given(st.lists(st.tuples(st.floats(0.3, 3.0), unoriented_angles, st.sampled_from([1, -1]),
                               st.integers(1, 3)),
                     min_size=1, max_size=5, unique_by=lambda t: t[0]))
@@ -256,7 +265,10 @@ class TestFoldedMirrorsMatchExplicitMirrors:
         for form in (0, 1):
             for m in (0, 1, 2):
                 got, want = (heat_trace_geometric(x, inv, m, form, 0.8, p) for x in (spec, listed))
-                assert close(got.hyperbolic_term, want.hyperbolic_term)
+                # the sum cancels: its rounding scales with the terms' magnitudes
+                scale = math.fsum(abs(term) for term in
+                                  heat_hyperbolic_terms(listed, m, form, 0.8, p.l_cut))
+                assert abs(got.hyperbolic_term - want.hyperbolic_term) <= REL * scale
                 assert got.tail_bound == want.tail_bound
 
 

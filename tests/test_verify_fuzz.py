@@ -11,7 +11,7 @@ to 10^9, whose log sums pass a double's range in either direction.
 
 Small values are drawn for speed.  Each explicit limit is drawn on both of
 its sides, as a mark resolved against the drawn spectrum, cutoff, identity
-and parity: the work limit (``zeta._weight_budget``), ``CHECK_M_MAX``, the
+and parity: the work limit (``zeta._weight_budget``), ``zeta.M_MAX``, the
 brute-force oracle's overflow refusal, the n thresholds, ``SAMPLES_MAX`` and
 ``INDEX_MAX``.  An m limit drawn for ``--n`` is taken through m = 2n - 2 + h.
 """
@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 from geozeta import entry, fixtures
 from geozeta.chars import eigenvalue
 from geozeta.commands import INDEX_MAX, SAMPLES_MAX
-from geozeta.identities import CHECK_M_MAX, IDENTITIES, IDENTITY_CHOICES
+from geozeta.identities import IDENTITIES, IDENTITY_CHOICES
 from geozeta.spectrum import TWO_PI, POWER_BUDGET, DomainError, parse_spectrum, powers_up_to
+from geozeta.zeta import M_MAX
 
 HERE = Path(fixtures.__file__).parent
 SPECTRA = {name: parse_spectrum((HERE / f"spectrum_{name}.json").read_text())
@@ -38,7 +39,7 @@ SPECTRA = {name: parse_spectrum((HERE / f"spectrum_{name}.json").read_text())
 
 # each limit as (name, offset): the last value on its admitted side, then the
 # first refused one
-MARKS = [(name, offset) for name in ("work", "check_m", "overflow", "samples_max", "index")
+MARKS = [(name, offset) for name in ("work", "m_max", "overflow", "samples_max", "index")
          for offset in (0, 1)] + [("n_min", -1), ("n_min", 0), ("index", -1)]
 ints = st.one_of(st.integers(-2, 4), st.sampled_from(MARKS))
 FUZZ = settings(max_examples=60, deadline=timedelta(seconds=30), derandomize=True,
@@ -75,10 +76,10 @@ def resolve(mark, name, identity, parity, spec, l_cut) -> int:
     if limit == "n_min":
         # the main theorem's n >= 3 - h stands in for the checks without a threshold
         return (getattr(IDENTITIES.get(identity), "n_min", None) or (3, 2))[h] + offset
-    value = {"work": lambda: work_limit(spec, l_cut), "check_m": lambda: CHECK_M_MAX,
+    value = {"work": lambda: work_limit(spec, l_cut), "m_max": lambda: M_MAX,
              "overflow": lambda: overflow_limit(spec), "samples_max": lambda: SAMPLES_MAX,
              "index": lambda: INDEX_MAX}[limit]()
-    if name == "n" and limit in ("work", "check_m", "overflow"):
+    if name == "n" and limit in ("work", "m_max", "overflow"):
         return (value + 2 - h) // 2 + offset  # the n whose m = 2n - 2 + h is at the limit
     return -value if offset < 0 else value + offset
 

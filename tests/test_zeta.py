@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from geozeta import zeta
 from geozeta.heattrace import heat_trace_geometric
 from geozeta.identities import selberg_rho_bruteforce, selberg_sigma_bruteforce
-from geozeta.spectrum import (POWER_BUDGET, GeodesicEntry, GrowthModel, LengthSpectrum,
-                              flip_spins, powers_up_to)
+from geozeta.spectrum import (POWER_BUDGET, DomainError, GeodesicEntry, GrowthModel,
+                              LengthSpectrum, flip_spins, powers_up_to)
 from geozeta.zeta import (EvalParams, ruelle_rho, ruelle_sigma, selberg_rho,
                           selberg_sigma, zograf_F, zograf_G)
 from scalar_reference import zograf_direct_log
@@ -315,14 +317,15 @@ class TestTruncationConsistency:
 
 
 def test_a_symmetric_power_point_is_one_kernel_call(monkeypatch, small_spec):
-    # m = 66665 is the largest m the work limit admits over the small
-    # fixture's 15 rows; its m + 1 weight rows take one kernel call, against
-    # the route of one call and one finished factor per row, with no column
-    # kept by either
-    m = 66665
+    # m = M_MAX is the largest m any evaluator admits; its m + 1 weight rows
+    # take one kernel call, against the route of one call and one factor per
+    # row, with no column or log series kept by either
+    m = zeta.M_MAX
     p = EvalParams.for_spectrum(small_spec)
     table = powers_up_to(small_spec, p.l_cut)
-    assert (m + 2) * len(table) > POWER_BUDGET >= (m + 1) * len(table)
+    assert (m + 1) * len(table) <= POWER_BUDGET
+    with pytest.raises(DomainError, match=rf"^m={m + 1} is too large: the limit on m is {m}$"):
+        ruelle_rho(small_spec, m + 1, 3.0, p)
     monkeypatch.setattr(zeta, "COLUMN_CACHE_BYTES", 0)
     s = complex(3.0 + m / 2, 0.3)
     rows = [(m - 2 * l, s - m / 2 + l) for l in range(m + 1)]
@@ -336,9 +339,20 @@ def test_a_symmetric_power_point_is_one_kernel_call(monkeypatch, small_spec):
                         kernel(*args))
     batched = math.inf
     for _ in range(2):  # the better of two runs, as neither keeps a row or a column
+        zeta._SIGMA_LOGS.cache_clear()
         start = time.perf_counter()
         got = ruelle_rho(small_spec, m, s, p)
         batched = min(batched, time.perf_counter() - start)
     assert calls == [m + 1] * 2
     assert same_bits(got.log_value, want.log_value) and got == want
     assert batched <= per_row / 4, (batched, per_row)
+
+
+def test_a_value_past_a_double_is_refused_where_it_is_read(small_spec):
+    # log R(sigma_1, -1) sums to about 2.3e4: the value is built with its log,
+    # and only reading ``value`` raises
+    zv = ruelle_sigma(small_spec, 1, -1.0, EvalParams.for_spectrum(small_spec))
+    assert "value" not in {f.name for f in dataclasses.fields(zv)}
+    assert zv.log_value.real > math.log(sys.float_info.max)
+    with pytest.raises(DomainError, match=r"^exp of the log series \(.+\) overflows a double$"):
+        zv.value
