@@ -24,8 +24,7 @@ _EXPORTS = {
               "exact_battery", "exact_identity_check", "to_length_spectrum"),
     "heattrace": ("HeatTraceResult", "heat_trace_geometric", "small_time_fit"),
     "identities": ("IdentityReport", "battery_reports", "main_theorem_residual",
-                   "relative_residual", "ruelle_rho_direct",
-                   "selberg_rho_bruteforce", "selberg_sigma_bruteforce",
+                   "ruelle_rho_direct", "selberg_rho_bruteforce", "selberg_sigma_bruteforce",
                    "special_case_low_n", "verify_corollary_FG", "verify_det_chain",
                    "verify_four_selberg_quotient", "verify_reflection_involution",
                    "verify_rho_selberg_quotient", "verify_ruelle_decomposition",

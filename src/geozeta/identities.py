@@ -11,9 +11,10 @@ and its battery parameters; the battery and the CLI both run from it, and
 every check reports as one ``IdentityReport``, which derives its verdict
 from the points it is given.
 
-A log sum becomes a value here as in the evaluators, through ``zeta._exp``:
-a side past a double's range raises ``DomainError``, and ``_run_grid`` flags
-its point.
+Every check hands ``_run_grid`` the logs of its two sides, compared by the
+one rule ``log_relative_residual``, and exponentiates nothing.  Only the two
+oracles return values, through ``zeta._exp``: a log past a double's range,
+above or below, raises ``DomainError`` there, and ``_run_grid`` flags its point.
 
 The three Zograf checks (``zograf-ratio``, ``corollary-FG`` and
 ``main-theorem``) take a parity, read once as h (0 for F_n, 1 for G_n, by
@@ -89,7 +90,6 @@ from .torsion import parity_h
 from .zeta import (EvalParams, _exp, _weight_budget, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
 
-RESIDUAL_FLOOR = 1e-14
 # factors per chunk of classes in the brute-force oracle: 256 kB per complex array
 ORACLE_CHUNK = 2 ** 14
 # factors in one class's row, (m + 1) x (p, q) pairs, which is not split: 1 MB
@@ -104,22 +104,13 @@ FLAG_CIRCULAR = "circular-given-functional-equation"
 PR_SET_PDEATHSIG = 1
 
 
-def relative_residual(lhs: complex, rhs: complex) -> float:
-    """|lhs - rhs| / max(|lhs|, |rhs|), floored to avoid 0/0.  Two sides with
-    finite parts whose modulus passes a double's range compare halved."""
-    try:
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
-    except OverflowError:
-        return relative_residual(lhs / 2, rhs / 2)
-
-
 def log_relative_residual(log_lhs: complex, log_rhs: complex) -> float:
-    """The same relative residual, evaluated from log values.
+    """|lhs - rhs| / max(|lhs|, |rhs|), evaluated from the two sides' logs.
 
-    |lhs - rhs| / max(|lhs|, |rhs|) = |1 - exp(-|delta|-signed)| with
-    delta = log_lhs - log_rhs; dividing by the larger side keeps the
-    exponential bounded, so special values of magnitude e^(-huge) compare at
-    full relative precision instead of underflowing.
+    It is |1 - exp(-delta)| with delta = log_lhs - log_rhs signed so that
+    Re(delta) >= 0: dividing by the larger side keeps the exponential
+    bounded, so sides of any magnitude compare at full relative precision,
+    and logs 2 pi i apart compare equal.
     """
     delta = log_lhs - log_rhs
     if delta.real >= 0:
@@ -167,8 +158,10 @@ def _run_grid(identity_id: str, grid, point_fn, tol: float,
               flags: tuple[str, ...] = (), re_min: float | None = None) -> IdentityReport:
     """Residuals of ``point_fn`` over ``grid``.
 
-    A point with Re(s) <= ``re_min``, or one whose evaluation raises a domain
-    or numerical error, is kept as a flagged error and fails the report.  A
+    ``point_fn(s)`` returns the logs of the identity's two sides and the
+    point's flags; the residual is their ``log_relative_residual``.  A point
+    with Re(s) <= ``re_min``, or one whose evaluation raises a domain or
+    numerical error, is kept as a flagged error and fails the report.  A
     missing eta invariant is an input error and propagates.
     """
     points = []
@@ -176,7 +169,8 @@ def _run_grid(identity_id: str, grid, point_fn, tol: float,
         try:
             if re_min is not None and not s.real > re_min:
                 raise DomainError(f"grid point Re(s)={s.real} outside Re > {re_min}")
-            residual, pflags = point_fn(s)
+            log_lhs, log_rhs, pflags = point_fn(s)
+            residual = log_relative_residual(log_lhs, log_rhs)
         except EtaNotSuppliedError:
             raise
         except (DomainError, ValueError) as exc:
@@ -324,9 +318,9 @@ def verify_ruelle_decomposition(spec: LengthSpectrum, m: int, grid=None,
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
-        lhs = ruelle_rho_direct(spec, m, s)
+        log_lhs = cmath.log(ruelle_rho_direct(spec, m, s))
         rhs = ruelle_rho(spec, m, s, p)
-        return relative_residual(lhs, rhs.value), rhs.flags
+        return log_lhs, rhs.log_value, rhs.flags
 
     return _run_grid("prop-ruelle-dec", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -338,9 +332,9 @@ def verify_selberg_rho_decomposition(spec: LengthSpectrum, m: int, k: int = 0, g
     grid = grid if grid is not None else default_grid(3.0 + m / 2)
 
     def point(s: complex):
-        lhs = selberg_rho_bruteforce(spec, m, k, s)
+        log_lhs = cmath.log(selberg_rho_bruteforce(spec, m, k, s))
         rhs = selberg_rho(spec, m, k, s, p)
-        return relative_residual(lhs, rhs.value), rhs.flags
+        return log_lhs, rhs.log_value, rhs.flags
 
     return _run_grid("selberg-rho-dec", grid, point, tol, (f"m={m}", f"k={k}"), 2.0 + m / 2)
 
@@ -357,7 +351,7 @@ def verify_four_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                    + selberg_sigma(spec, -m, s + m / 2 + 2, p).log_value
                    - selberg_sigma(spec, m + 2, s - m / 2 + 1, p).log_value
                    - selberg_sigma(spec, -(m + 2), s + m / 2 + 1, p).log_value)
-        return relative_residual(lhs.value, _exp(log_rhs)), lhs.flags
+        return lhs.log_value, log_rhs, lhs.flags
 
     return _run_grid("four-selberg", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -374,7 +368,7 @@ def verify_rho_selberg_quotient(spec: LengthSpectrum, m: int, grid=None,
                    + selberg_rho(spec, m, 0, s + 2, p).log_value
                    - selberg_rho(spec, m, 2, s + 1, p).log_value
                    - selberg_rho(spec, m, -2, s + 1, p).log_value)
-        return relative_residual(lhs.value, _exp(log_rhs)), lhs.flags
+        return lhs.log_value, log_rhs, lhs.flags
 
     return _run_grid("rho-selberg", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -391,7 +385,7 @@ def verify_zograf_ratio(spec: LengthSpectrum, n: int, parity: str, grid=None,
     def point(s: complex):
         direct = evaluator(spec, n, s, p, method="direct")
         ratio = evaluator(spec, n, s, p, method="ratio")
-        return relative_residual(direct.value, ratio.value), direct.flags + ratio.flags
+        return direct.log_value, ratio.log_value, direct.flags + ratio.flags
 
     return _run_grid("zograf-ratio", grid, point, tol, (f"n={n}", parity), (2.0 - h / 2) - n)
 
@@ -415,8 +409,7 @@ def verify_corollary_FG(spec: LengthSpectrum, n: int, parity: str, grid=None,
                    + selberg_sigma(spec, -(m + 2), s + n + h / 2, p).log_value
                    - selberg_sigma(spec, -m, s + n + (1 + h / 2), p).log_value
                    - selberg_sigma(spec, m + 2, s - n + (2 - h / 2), p).log_value)
-        lhs = _exp(2.0 * f.log_value + ruelle_rho(spec, m, s, p).log_value)
-        return relative_residual(lhs, _exp(log_rhs)), f.flags
+        return 2.0 * f.log_value + ruelle_rho(spec, m, s, p).log_value, log_rhs, f.flags
 
     return _run_grid("corollary-FG", grid, point, tol, (f"n={n}", parity), n + (1.0 + h / 2))
 
@@ -450,7 +443,7 @@ def verify_ruelle_functional_equation(spec: LengthSpectrum, inv: ManifoldInvaria
         lhs = ruelle_rho(spec, m, s, p)
         log_rhs = (4.0 * s * dim * inv.volume / math.pi
                    + _ruelle_reflected_log(spec, inv, m, -s, p))
-        return relative_residual(lhs.value, _exp(log_rhs)), ("reflected",)
+        return lhs.log_value, log_rhs, ("reflected",)
 
     return _run_grid("ruelle-feq", grid, point, tol, (f"m={m}", FLAG_CIRCULAR), 2.0 + m / 2)
 
@@ -486,7 +479,7 @@ def verify_det_chain(spec: LengthSpectrum, inv: ManifoldInvariants, m: int, grid
         log_lhs = log_det_a + log_det_b - log_ratio_10 \
             + 2.0 * s * dim * v_chain / math.pi
         rhs = ruelle_rho(spec, m, s, p)
-        return relative_residual(_exp(log_lhs), rhs.value), rhs.flags
+        return log_lhs, rhs.log_value, rhs.flags
 
     return _run_grid("det-chain", grid, point, tol, (f"m={m}",), 2.0 + m / 2)
 
@@ -549,9 +542,7 @@ def main_theorem_residual(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
                          - selberg_anywhere(ref, inv, m + 2, (2.0 - h / 2) - n, p).log_value)
         log_rhs = (-(2.0 / math.pi) * coeff * cl.volume
                    - 2j * math.pi * (eta_lookup(cl, m + 2) - eta_lookup(cl, m)))
-        # log-domain comparison: the closed form is e^(-O(n^2) Vol), far below
-        # any absolute floor, so the residual must stay scale free
-        return log_relative_residual(log_lhs, log_rhs), ("reflected",)
+        return log_lhs, log_rhs, ("reflected",)
 
     flags = (f"n={n}", parity, "reflected")
     if claimed is None and reference_spectrum is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .continuation import ComplexVolume, ManifoldInvariants, eta_lookup
@@ -68,7 +69,8 @@ def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
     Even parity (n >= 3): exp(6 pi i theta) exp((2/pi)(6n^2-6n+1) V) F_n(0)^12
     with V the complex volume Vol + i 2 pi^2 CS.  Odd parity (n >= 2):
     exp(2 pi i theta) exp((2/pi)(2n^2-1/6)(Vol + i 3 pi^2 eta_1)) G_n(0)^4.
-    A value past a double's range raises ``DomainError`` naming n and parity.
+    A value past a double's range, above or below, raises ``DomainError``
+    naming n and parity.
     """
     p = p or EvalParams.for_spectrum(spec)
     cv = inv.complex_volume
@@ -89,4 +91,6 @@ def predict_torsion_ratio(spec: LengthSpectrum, inv: ManifoldInvariants, n: int,
             raise OverflowError
     except OverflowError:
         raise DomainError(f"the {parity} prediction at n={n} overflows a double") from None
+    if max(abs(value.real), abs(value.imag)) < sys.float_info.min:  # subnormal or 0
+        raise DomainError(f"the {parity} prediction at n={n} underflows a double")
     return TorsionPrediction(n, parity, value, theta, f.value, cv)

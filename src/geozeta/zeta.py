@@ -46,12 +46,12 @@ bits.
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
 checks need both sides of a formula on a common grid.  Nor does a log
-whose exponential passes a double's range: reading that value raises
-``DomainError`` from ``_exp``, naming the log (the identity checks
-exponentiate their log sums through it too), so a check that only adds logs
-runs.  Every symmetric-power index m is refused past ``M_MAX`` (1024), and
-past the work limit of m + 1 weight rows over the table
-(``_weight_budget``).
+whose exponential passes a double's range, above or below (a real part
+under ``LOG_MIN``, where the value would be subnormal or 0): reading that
+value raises ``DomainError`` from ``_exp``, naming the log, so the identity
+checks, which compare logs, run.  Every symmetric-power index m is refused
+past ``M_MAX`` (1024), and past the work limit of m + 1 weight rows over
+the table (``_weight_budget``).
 Double-precision complex arithmetic throughout; no extended-precision mode
 in this version.
 """
@@ -92,6 +92,8 @@ COLUMN_CACHE_BYTES = 2 ** 23
 # products) run 90 s at m = 66665 on a 15-row table, and one point on an
 # empty table take 4-9 s at m = 999999
 M_MAX = 1024
+# the least real part of a log whose exponential is a normal double, -708.40
+LOG_MIN = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,8 @@ def _base_flags(spec: LengthSpectrum, p: EvalParams) -> tuple[str, ...]:
 
 
 def _exp(log_value: complex) -> complex:
+    if log_value.real < LOG_MIN:
+        raise DomainError(f"exp of the log series {log_value!r} underflows a double")
     try:
         return cmath.exp(log_value)
     except OverflowError:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import time
@@ -652,6 +653,83 @@ def test_main_theorem_adds_the_logs_of_factors_past_a_double(tmp_path, inv_file,
     assert err == ""
     (point,) = strict_loads(out)["points"]
     assert math.isfinite(point["residual"]) and point["flags"] == ["reflected"]
+
+
+# the checks that compare the logs of two evaluated sides, without an oracle
+LOG_CHECKS = ("four-selberg", "rho-selberg", "zograf-ratio", "corollary-FG", "ruelle-feq",
+              "det-chain")
+
+
+def one_entry_file(tmp_path, spin, multiplicity=10 ** 6):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"oriented": True, "l_max": 3.0, "entries": [
+        {"length": 1.0, "angle": 0.0, "spin_sign": spin, "multiplicity": multiplicity}]}))
+    return str(path)
+
+
+def verify_all(path, inv_file, capsys):
+    code = entry.main(["verify", "--identity", "all", "--spectrum", path,
+                       "--invariants", inv_file])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, strict_loads(out)["reports"]
+
+
+@pytest.mark.parametrize("spin", [1, -1])
+def test_sides_past_a_double_decide_by_their_logs(tmp_path, inv_file, capsys, spin):
+    # multiplicity 10^6: every side's log lies far past a double's range, below
+    # it for spin +1 and on odd weights above it for spin -1.  Compared as
+    # values, both sides underflowed to 0 and passed at residual 0.0, and the
+    # odd-weight sides overflowed and failed
+    code, reports = verify_all(one_entry_file(tmp_path, spin), inv_file, capsys)
+    assert code == 1
+    for report in reports:
+        if report["identity_id"] in LOG_CHECKS:
+            assert report["passed"] and 0.0 < report["max_residual"] <= report["tolerance"]
+        elif report["identity_id"] in ("prop-ruelle-dec", "selberg-rho-dec"):
+            assert not report["passed"]
+            for point in report["points"]:
+                (flag,) = point["flags"]
+                assert point["residual"] is None and flag.startswith(
+                    "error: exp of the log series (")
+                assert flag.endswith(" underflows a double" if spin == 1 else "flows a double")
+    assert {r["identity_id"] for r in reports} >= set(LOG_CHECKS)
+
+
+def test_a_wrong_log_past_a_double_fails(tmp_path, inv_file, capsys, monkeypatch):
+    # a Ruelle evaluator whose log is 1.5 times the true one passed four-selberg
+    # at residual 0.0 when both sides underflowed
+    true_rho = identities.ruelle_rho
+
+    def wrong_rho(*args):
+        zv = true_rho(*args)
+        return dataclasses.replace(zv, log_value=1.5 * zv.log_value)
+    monkeypatch.setattr(identities, "ruelle_rho", wrong_rho)
+    code, reports = verify_all(one_entry_file(tmp_path, 1), inv_file, capsys)
+    assert code == 1
+    # every check that reads the Ruelle evaluator fails, and the oracles stay flagged
+    failing = {"four-selberg", "rho-selberg", "corollary-FG", "ruelle-feq", "det-chain",
+               "prop-ruelle-dec", "selberg-rho-dec"}
+    assert all(r["passed"] is (r["identity_id"] not in failing) for r in reports)
+
+
+def test_a_value_below_a_double_exits_2(tmp_path, capsys):
+    # R(sigma_0, 3.5) = e^(-30662.5) printed [0.0, 0.0] with exit 0
+    assert entry.main(["eval", "--kind", "ruelle-sigma", "--k", "0", "--s", "3.5",
+                       "--spectrum", one_entry_file(tmp_path, 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: exp of the log series (-30662.503221545674+0j) underflows a double\n"
+
+
+def test_a_prediction_below_a_double_exits_2(tmp_path, inv_file, capsys):
+    # F_3(0) = 5.0e-46 on one class of multiplicity 1300: its 12th power
+    # rounded to 0, and the prediction [0.0, 0.0] exited 0
+    assert entry.main(["predict-torsion", "--spectrum", one_entry_file(tmp_path, 1, 1300),
+                       "--invariants", inv_file, "--n", "3", "--parity", "even"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the even prediction at n=3 underflows a double\n"
 
 
 def test_a_zograf_check_at_large_n_warns_nothing(spec_file, capsys, recwarn):

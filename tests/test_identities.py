@@ -12,7 +12,7 @@ from geozeta.exact import ExactCheckResult, GaussianRational, TermFailure, exact
 from geozeta.identities import (IDENTITIES, GridPoint, IdentityReport,
                                 _ruelle_reflected_log, battery_reports,
                                 default_grid, run_identity, verify_exact_oracle,
-                                main_theorem_residual, relative_residual,
+                                log_relative_residual, main_theorem_residual,
                                 special_case_low_n, verify_corollary_FG, verify_det_chain,
                                 verify_four_selberg_quotient,
                                 verify_reflection_involution,
@@ -347,9 +347,16 @@ class TestSpecialCases:
             special_case_low_n(INV, "F2-even")
 
 
-def test_relative_residual_floor():
-    assert relative_residual(0j, 0j) == 0.0
-    assert relative_residual(1e-20 + 0j, 0j) <= 1e-6
+def test_log_relative_residual():
+    # the residual reads the logs alone: equal logs compare exactly, logs one
+    # turn apart compare equal, and a difference of 1e-9 reads 1e-9 whether
+    # the values would underflow, fit or overflow a double
+    assert log_relative_residual(0.3 + 2j, 0.3 + 2j) == 0.0
+    for base in (0j, 1e5 + 7j, -1e5 - 7j):
+        assert log_relative_residual(base, base + 2j * math.pi) <= 1e-15
+        for delta in (1e-9, -1e-9, 1e-9j):
+            assert log_relative_residual(base + delta, base) == pytest.approx(1e-9, rel=1e-2)
+            assert log_relative_residual(base, base + delta) == pytest.approx(1e-9, rel=1e-2)
 
 
 def test_report_json_shape(small_spec):

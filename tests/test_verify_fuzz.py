@@ -154,6 +154,13 @@ def test_verify_arguments(capsys, invariants_files, identity, spectrum, volume8,
 # both sides finite, of modulus past a double's range: |lhs| raised OverflowError
 @example(identity="prop-ruelle-dec", length=1.0, angle=0.8999999999999999, spin=-1,
          multiplicity=11548, oriented=True, volume8=False, parity="even", m=1, k=0, n=3)
+# every side's log past a double's range, below it for spin +1 and on odd
+# weights above it for spin -1: as values, both sides underflowed to 0 and
+# passed at residual 0.0
+@example(identity="all", length=1.0, angle=0.0, spin=1, multiplicity=10 ** 6,
+         oriented=True, volume8=False, parity="even", m=1, k=0, n=3)
+@example(identity="all", length=1.0, angle=0.0, spin=-1, multiplicity=10 ** 6,
+         oriented=True, volume8=False, parity="even", m=1, k=0, n=3)
 def test_verify_one_entry_spectra(capsys, invariants_files, tmp_path_factory, identity, length,
                                   angle, spin, multiplicity, oriented, volume8, parity, m, k, n):
     path = tmp_path_factory.getbasetemp() / "one-entry.json"
