@@ -16,12 +16,13 @@ involve transcendental exp(Vol ...) factors.
 A Gaussian rational is stored as three Python ints (a + b i) / d with d > 0,
 and has that one state: arithmetic leaves its result unreduced and nothing
 reduces it in place.  Equality cross-multiplies two raw triples, so deciding
-a ledger term computes no gcd; only ``hash`` reduces, into a new triple.
+a term computes no gcd; only ``hash`` reduces, into a new triple.
 
-Where an identity's two sides share a factor, they build it by different
-routes (selberg-rho-dec sums the double product's two geometric series on
-the left and divides by the shared denominator on the right), so a wrong
-shared helper still shows as a failing term.
+A check stops at the first (class, power) term whose sides differ and keeps
+no decided side.  A quotient side sums its cores and divides once by the
+shared denominator; where two sides share a factor they build it by
+different routes (selberg-rho-dec sums the double product's two geometric
+series on the left), so a wrong shared helper still shows as a failing term.
 
 The factors of one (class, power) that do not depend on s are built once per
 process: the powers q_sqrt^e and u_half^e of each class, the denominator
@@ -262,8 +263,9 @@ FIXTURE_CLASSES = (
     ExactClass(Fraction(3, 5), GaussianRational.of(Fraction(-15, 17), Fraction(8, 17))),
 )
 
-EXACT_IDENTITIES = ("ruelle-dec", "selberg-rho-dec", "four-selberg", "rho-selberg",
-                    "zograf-F", "zograf-G")
+EXACT_PARAMS = {"ruelle-dec": ("m",), "selberg-rho-dec": ("m", "k"), "four-selberg": ("m",),
+                "rho-selberg": ("m",), "zograf-F": ("n",), "zograf-G": ("n",)}
+EXACT_IDENTITIES = tuple(EXACT_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -276,10 +278,17 @@ class TermFailure:
 
 @dataclass(frozen=True)
 class ExactCheckResult:
+    """One check's verdict: it passed if and only if no term failed.  ``params``
+    holds the (name, value) pairs of the parameters the identity reads."""
+
     identity_id: str
-    passed: bool
+    s: int | Fraction
+    params: tuple[tuple[str, int], ...]
     first_failure: TermFailure | None
-    ledger: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 def _two_s(s) -> int:
@@ -358,39 +367,34 @@ def identity_terms(identity_id: str, cls: ExactClass, mu: int, s,
         h2, u_mu = _q_sqrt_power(cls, 2 * mu), _u_half_power(cls, 2 * mu)
         lhs = (_trace_core(cls, mu, m) * _u_half_power(cls, k * mu)
                * _q_sqrt_power(cls, two_s * mu)) / (GR_ONE - u_mu.conj() * h2) / (GR_ONE - u_mu * h2)
-        denom = _denominators(cls, mu)
         rhs = GR_ZERO
         for l in range(m + 1):
-            rhs = rhs + _r_core(cls, mu, two_s, m - 2 * l + k, 2 * l - m) / denom
-        return lhs, rhs
+            rhs = rhs + _r_core(cls, mu, two_s, m - 2 * l + k, 2 * l - m)
+        return lhs, rhs / _denominators(cls, mu)
     if identity_id == "four-selberg":
-        denom = _denominators(cls, mu)
         lhs = _trace_core(cls, mu, m) * _q_sqrt_power(cls, two_s * mu)
-        rhs = (_r_core(cls, mu, two_s, m, -m) / denom
-               + _r_core(cls, mu, two_s, -m, m + 4) / denom
-               - _r_core(cls, mu, two_s, m + 2, -m + 2) / denom
-               - _r_core(cls, mu, two_s, -(m + 2), m + 2) / denom)
-        return lhs, rhs
+        rhs = (_r_core(cls, mu, two_s, m, -m)
+               + _r_core(cls, mu, two_s, -m, m + 4)
+               - _r_core(cls, mu, two_s, m + 2, -m + 2)
+               - _r_core(cls, mu, two_s, -(m + 2), m + 2))
+        return lhs, rhs / _denominators(cls, mu)
     if identity_id == "rho-selberg":
-        denom = _denominators(cls, mu)
         tr = _trace_core(cls, mu, m)
         lhs = tr * _q_sqrt_power(cls, two_s * mu)
-        rhs = (tr * (_r_core(cls, mu, two_s, 0, 0)
-                     + _r_core(cls, mu, two_s, 0, 4)
-                     - _r_core(cls, mu, two_s, 2, 2)
-                     - _r_core(cls, mu, two_s, -2, 2))) / denom
-        return lhs, rhs
+        rhs = tr * (_r_core(cls, mu, two_s, 0, 0)
+                    + _r_core(cls, mu, two_s, 0, 4)
+                    - _r_core(cls, mu, two_s, 2, 2)
+                    - _r_core(cls, mu, two_s, -2, 2))
+        return lhs, rhs / _denominators(cls, mu)
     if identity_id in ("zograf-F", "zograf-G"):
         # sum over k >= n of the R(sigma_-(2k+h), s+k+h/2) cores, h = 0 for F and
         # 1 for G, as an exact geometric series; the right side is the Selberg ratio
         h = int(identity_id == "zograf-G")
-        denom = _denominators(cls, mu)
         half_a = _q_sqrt_power(cls, mu) * _u_half_power(cls, mu).conj()
-        t = _q_sqrt_power(cls, two_s * mu)
-        lhs = t * half_a ** (2 * n + h) / (GR_ONE - half_a * half_a)
-        rhs = (_r_core(cls, mu, two_s, -(2 * n + h), 2 * n + h) / denom
-               - _r_core(cls, mu, two_s, -(2 * n - 2 + h), 2 * n + 2 + h) / denom)
-        return lhs, rhs
+        lhs = _q_sqrt_power(cls, two_s * mu) * half_a ** (2 * n + h) / (GR_ONE - half_a * half_a)
+        rhs = (_r_core(cls, mu, two_s, -(2 * n + h), 2 * n + h)
+               - _r_core(cls, mu, two_s, -(2 * n - 2 + h), 2 * n + 2 + h))
+        return lhs, rhs / _denominators(cls, mu)
     raise ValueError(f"unknown exact identity {identity_id!r}; "
                      f"one of {', '.join(EXACT_IDENTITIES)}")
 
@@ -400,18 +404,16 @@ def exact_identity_check(classes: Sequence[ExactClass], identity_id: str, s,
                          n: int = 3) -> ExactCheckResult:
     """Check one identity term-by-term for every (class, power <= max_power).
 
-    Returns the earliest offending term on failure (lowest class index, then
-    lowest power) and a ledger of both sides' exact contributions.
+    Returns at the earliest offending term (lowest class index, then lowest
+    power), building no later term.
     """
-    ledger: dict = {}
-    failure: TermFailure | None = None
+    params = tuple((p, dict(m=m, k=k, n=n)[p]) for p in EXACT_PARAMS.get(identity_id, ()))
     for ci, cls in enumerate(classes):
         for mu in range(1, max_power + 1):
             lhs, rhs = identity_terms(identity_id, cls, mu, s, m=m, k=k, n=n)
-            ledger[(ci, mu)] = {"lhs": lhs, "rhs": rhs}
-            if lhs != rhs and failure is None:
-                failure = TermFailure(ci, mu, lhs, rhs)
-    return ExactCheckResult(identity_id, failure is None, failure, ledger)
+            if lhs != rhs:
+                return ExactCheckResult(identity_id, s, params, TermFailure(ci, mu, lhs, rhs))
+    return ExactCheckResult(identity_id, s, params, None)
 
 
 def exact_battery(classes: Sequence[ExactClass] = FIXTURE_CLASSES,

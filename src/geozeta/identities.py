@@ -570,15 +570,15 @@ def special_case_low_n(inv: ManifoldInvariants, which: str) -> complex:
 # Registry: one table drives the battery and the CLI
 
 def verify_exact_oracle() -> IdentityReport:
-    """The exact Gaussian-rational battery as one report: a point per check at
-    s = 0 with residual 0 (every term equal) or 1, naming the first failing term."""
+    """The exact Gaussian-rational battery as one report: a point per check at its s,
+    residual 0 or 1, flagged with its identity, parameters and first failing term."""
     points = []
     for r in exact_battery():
-        flags = (r.identity_id,)
+        flags = (r.identity_id,) + tuple(f"{name}={value}" for name, value in r.params)
         if r.first_failure is not None:
             f = r.first_failure
             flags += (f"first failure at class {f.class_index}, power {f.power}",)
-        points.append(GridPoint(0j, 0.0 if r.passed else 1.0, flags))
+        points.append(GridPoint(complex(r.s), 0.0 if r.passed else 1.0, flags))
     return IdentityReport("exact-oracle", 0.0, tuple(points), ("exact-rational-arithmetic",))
 
 

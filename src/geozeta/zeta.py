@@ -39,9 +39,9 @@ Each series is therefore summed once per process and kept in
 ``_SIGMA_LOGS``, a least-recently-used cache of at most
 ``LOG_SERIES_CACHE_SIZE`` (4096) entries of one complex each; a product of
 m + 1 weights looks its rows up there and sums the missing ones in one
-kernel call.  The error bound and flags are rebuilt on every call.  An s
-with imaginary part -0.0 shares the entry of +0.0: both sum to the same
-bits.
+kernel call.  Since m is at most ``M_MAX`` (1024), a product's rows always
+fit.  The error bound and flags are rebuilt on every call.  An s with
+imaginary part -0.0 shares the entry of +0.0: both sum to the same bits.
 
 Calls outside a convergence half-plane do not raise: they return the formal
 truncation flagged ``in_convergence_domain=False``, because the identity
@@ -298,10 +298,7 @@ class _SeriesCache:
 
     def __call__(self, spec: LengthSpectrum, l_cut: float, ks: list[int], ss: list[complex],
                  selberg: bool) -> list[complex]:
-        # the Ruelle (selberg=False) or Selberg sigma_k log series at each (k, s);
-        # a call of more rows than the cache holds would only flush it
-        if len(ks) > self.maxsize:
-            return _log_series(powers_up_to(spec, l_cut), ks, ss, selberg)
+        # the Ruelle (selberg=False) or Selberg sigma_k log series at each (k, s)
         keys = [(spec, l_cut, k, s, selberg) for k, s in zip(ks, ss)]
         with self._lock:
             logs = [self._logs.get(key) for key in keys]

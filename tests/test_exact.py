@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,6 +84,14 @@ class FractionPairGR:
 
 def pair(z):
     return (z.re, z.im)
+
+
+def terms(result, classes=FIXTURE_CLASSES, max_power=12):
+    """Both sides of every (class, power) term of a check, rebuilt through
+    ``identity_terms`` from the result's identity, s and parameters."""
+    params = dict(result.params)
+    return {(ci, mu): identity_terms(result.identity_id, cls, mu, result.s, **params)
+            for ci, cls in enumerate(classes) for mu in range(1, max_power + 1)}
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -172,8 +181,9 @@ class TestAgainstFractionPairs:
         with pytest.raises(ZeroDivisionError):
             GR(0) ** -1
 
-    def test_battery_ledgers_match_fraction_pairs(self, monkeypatch):
+    def test_battery_terms_match_fraction_pairs(self, monkeypatch):
         got = exact_battery(s_values=(4,), max_power=6)
+        got_terms = [terms(r, max_power=6) for r in got]
         # rerun the same formulas on the Fraction-pair representation
         monkeypatch.setattr(exact, "GaussianRational", FractionPairGR)
         monkeypatch.setattr(exact, "GR_ZERO", FractionPairGR.of(0))
@@ -181,13 +191,14 @@ class TestAgainstFractionPairs:
         classes = [ExactClass(c.q_sqrt, FractionPairGR.of(c.u_half.re, c.u_half.im))
                    for c in FIXTURE_CLASSES]
         want = exact_battery(classes, s_values=(4,), max_power=6)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.identity_id, a.passed) == (b.identity_id, b.passed)
-            assert a.ledger.keys() == b.ledger.keys()
-            for key in a.ledger:
-                for side in ("lhs", "rhs"):
-                    assert pair(a.ledger[key][side]) == pair(b.ledger[key][side])
+        assert len(got) == len(want) == 25
+        for a, a_terms, b in zip(got, got_terms, want):
+            assert (a.identity_id, a.s, a.params, a.passed) == (b.identity_id, b.s, b.params,
+                                                                b.passed)
+            b_terms = terms(b, classes, max_power=6)
+            assert a_terms.keys() == b_terms.keys() and len(a_terms) == 18
+            for key, sides in a_terms.items():
+                assert [pair(z) for z in sides] == [pair(z) for z in b_terms[key]]
 
 
 class TestGaussianRational:
@@ -282,11 +293,44 @@ class TestExactChecks:
             assert not result.passed
             assert (result.first_failure.class_index, result.first_failure.power) == (0, 1)
 
-    def test_ledger_deterministic(self):
+    def test_check_deterministic(self):
         a = exact_identity_check(FIXTURE_CLASSES, "four-selberg", 4, 10, m=3)
         b = exact_identity_check(FIXTURE_CLASSES, "four-selberg", 4, 10, m=3)
-        assert a.ledger == b.ledger
-        assert len(a.ledger) == len(FIXTURE_CLASSES) * 10
+        assert a == b and a.passed
+        assert (a.identity_id, a.s, a.params) == ("four-selberg", 4, (("m", 3),))
+        assert terms(a, max_power=10) == terms(b, max_power=10)
+        assert len(terms(a, max_power=10)) == len(FIXTURE_CLASSES) * 10
+
+    def test_result_keeps_s_and_the_parameters_read(self):
+        checks = [("ruelle-dec", 5, {"m": 2}, (("m", 2),)),
+                  ("selberg-rho-dec", 4, {"m": 2, "k": 1}, (("m", 2), ("k", 1))),
+                  ("zograf-G", Fraction(9, 2), {"n": 2}, (("n", 2),))]
+        for identity, s, given, params in checks:
+            result = exact_identity_check(FIXTURE_CLASSES, identity, s, 4, **given)
+            assert (result.s, result.params, result.passed) == (s, params, True)
+        assert [r.params for r in exact_battery()
+                if (r.identity_id, r.s) == ("selberg-rho-dec", 4)] == [
+            (("m", m), ("k", k)) for m, k in ((0, 0), (1, 0), (2, 1), (3, 2))]
+
+    def test_a_failing_check_stops_at_its_first_failing_term(self, monkeypatch):
+        # break one term, (class 1, power 3): the check builds the 12 terms of
+        # class 0 and 3 of class 1, and none after the failing one
+        real_terms = exact.identity_terms
+        calls = []
+
+        def broken(identity_id, cls, mu, s, **params):
+            calls.append((cls, mu))
+            lhs, rhs = real_terms(identity_id, cls, mu, s, **params)
+            return lhs, (rhs + 1 if (cls, mu) == (FIXTURE_CLASSES[1], 3) else rhs)
+
+        monkeypatch.setattr(exact, "identity_terms", broken)
+        result = exact_identity_check(FIXTURE_CLASSES, "rho-selberg", 5, 12, m=2)
+        assert not result.passed
+        f = result.first_failure
+        assert (f.class_index, f.power) == (1, 3) and f.lhs != f.rhs
+        assert f.lhs == real_terms("rho-selberg", FIXTURE_CLASSES[1], 3, 5, m=2)[0]
+        assert calls == [(FIXTURE_CLASSES[0], mu) for mu in range(1, 13)] + [
+            (FIXTURE_CLASSES[1], mu) for mu in range(1, 4)]
 
     def test_battery_matrix(self):
         results = exact_battery(s_values=(4,), max_power=6)
@@ -297,7 +341,8 @@ EXACT_CACHES = (exact._q_sqrt_power, exact._u_half_power, exact._denominators,
                 exact._trace_core)
 
 # SHA-256 over every (identity_id, passed, class, power, lhs triple, rhs triple)
-# of the default battery, from the uncached implementation
+# of the default battery, each side in lowest terms, from the uncached
+# implementation that divided each quotient term by its denominator separately
 DEFAULT_BATTERY_SHA256 = "0d98f59d06c73bcdf2f34dce38edbc84bbd8758fd457989c1d46254f3e45c9f9"
 
 
@@ -317,11 +362,16 @@ class TestExactCaches:
         monkeypatch.undo()
         assert all(r.passed for r in exact_battery())
 
-    def test_each_denominator_built_once(self):
+    def test_each_denominator_built_once(self, monkeypatch):
         for cache in EXACT_CACHES:
             cache.cache_clear()
+        real_terms, calls = exact.identity_terms, []
+        monkeypatch.setattr(exact, "identity_terms",
+                            lambda *args, **kw: calls.append(1) or real_terms(*args, **kw))
         results = exact_battery()
-        assert sum(len(r.ledger) for r in results) == 2700
+        # 75 checks of 3 classes x 12 powers, each term built once
+        assert len(results) == 75 and all(r.passed for r in results)
+        assert len(calls) == 2700
         # 3 classes x 12 powers, and 144 (class, power, m) traces
         assert exact._denominators.cache_info().misses == 36
         assert exact._trace_core.cache_info().misses == 144
@@ -339,11 +389,23 @@ class TestExactCaches:
     def test_default_battery_pinned(self):
         digest = hashlib.sha256()
         for r in exact_battery():
-            for (ci, mu), sides in r.ledger.items():
-                lhs, rhs = sides["lhs"], sides["rhs"]
+            for (ci, mu), (lhs, rhs) in terms(r).items():
                 row = (r.identity_id, r.passed, ci, mu, lhs._lowest(), rhs._lowest())
                 digest.update(repr(row).encode() + b"\n")
         assert digest.hexdigest() == DEFAULT_BATTERY_SHA256
+
+    def test_cold_battery_keeps_little(self):
+        # the caches' 942 leaves and no decided term; keeping both sides of
+        # every term would take 3.4 MB
+        for cache in EXACT_CACHES:
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            assert all(r.passed for r in exact_battery())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000, peak
 
 
 # unit-circle points ((p^2 - q^2) + 2pq i) / (p^2 + q^2) of Pythagorean triples
@@ -368,8 +430,8 @@ def unit_point(p, q, sign, swap):
                            pythagorean)),
        st.integers(1, 12), st.integers(4, 14), st.integers(0, 3), st.integers(-3, 3),
        st.integers(2, 5))
-def test_ledger_triples_are_in_lowest_terms(identity, cls, mu, two_s, m, k, n):
-    # both sides of every ledger term: d > 0 before and after reduction, and
+def test_term_triples_are_in_lowest_terms(identity, cls, mu, two_s, m, k, n):
+    # both sides of every term: d > 0 before and after reduction, and
     # gcd(a, b, d) = 1 once read
     lhs, rhs = identity_terms(identity, cls, mu, Fraction(two_s, 2), m=m, k=k, n=n)
     for z in (lhs, rhs):

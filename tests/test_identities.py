@@ -2,10 +2,11 @@ import cmath
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
-from geozeta import identities, spectrum
+from geozeta import exact, identities, spectrum
 from geozeta.commands import _strict
 from geozeta.continuation import EtaNotSuppliedError, ManifoldInvariants
 from geozeta.exact import ExactCheckResult, GaussianRational, TermFailure, exact_battery
@@ -516,14 +517,37 @@ class TestRegistry:
         report = verify_exact_oracle()
         assert report.passed and report.tolerance == 0.0 and report.max_residual == 0.0
         assert report.flags == ("exact-rational-arithmetic",)
-        assert [pt.flags for pt in report.points] == [
-            (r.identity_id,) for r in exact_battery()]
+        assert [(pt.s, pt.flags) for pt in report.points] == [
+            (complex(r.s), (r.identity_id, *(f"{k}={v}" for k, v in r.params)))
+            for r in exact_battery()]
+        assert {pt.s for pt in report.points} == {4, 5, 6, 4.5, 5.5, 6.5}
         failure = TermFailure(2, 5, GaussianRational.of(1), GaussianRational.of(0))
         monkeypatch.setattr(identities, "exact_battery", lambda: [
-            ExactCheckResult("ruelle-dec", True, None, {}),
-            ExactCheckResult("zograf-G", False, failure, {})])
+            ExactCheckResult("ruelle-dec", 4, (("m", 0),), None),
+            ExactCheckResult("zograf-G", Fraction(9, 2), (("n", 2),), failure)])
         report = verify_exact_oracle()
         assert not report.passed and report.max_residual == 1.0
         assert [pt.residual for pt in report.points] == [0.0, 1.0]
-        assert report.points[1].flags == ("zograf-G", "first failure at class 2, power 5")
-        assert all(pt.s == 0j for pt in report.points)
+        assert report.points[0].flags == ("ruelle-dec", "m=0")
+        assert report.points[1].flags == ("zograf-G", "n=2", "first failure at class 2, power 5")
+        assert [pt.s for pt in report.points] == [4 + 0j, 4.5 + 0j]
+
+    def test_exact_oracle_names_each_failing_check(self, monkeypatch):
+        # a fault at m = 2 only fails the four m = 2 checks at each s, and
+        # each failing point names its identity, m (and k) and its s
+        real_terms = exact.identity_terms
+
+        def broken(identity_id, cls, mu, s, m=0, k=0, n=3):
+            lhs, rhs = real_terms(identity_id, cls, mu, s, m=m, k=k, n=n)
+            return lhs, (rhs + 1 if m == 2 else rhs)
+
+        monkeypatch.setattr(exact, "identity_terms", broken)
+        report = verify_exact_oracle()
+        assert not report.passed and len(report.points) == 75
+        failed = [(pt.s, pt.flags) for pt in report.points if pt.residual != 0.0]
+        first = "first failure at class 0, power 1"
+        assert failed == [
+            (complex(s), flags + (first,)) for s in (4, 5, 6)
+            for flags in (("ruelle-dec", "m=2"), ("four-selberg", "m=2"),
+                          ("rho-selberg", "m=2"), ("selberg-rho-dec", "m=2", "k=1"))]
+        assert all(pt.residual in (0.0, 1.0) for pt in report.points)

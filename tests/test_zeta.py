@@ -329,23 +329,35 @@ def test_a_symmetric_power_point_is_one_kernel_call(monkeypatch, small_spec):
     monkeypatch.setattr(zeta, "COLUMN_CACHE_BYTES", 0)
     s = complex(3.0 + m / 2, 0.3)
     rows = [(m - 2 * l, s - m / 2 + l) for l in range(m + 1)]
-    start = time.perf_counter()
-    want = zeta._combine(p, [zeta._factor(small_spec, p, zeta._log_series(table, [k], [x])[0],
-                                          x.real, x.real > 2.0) for k, x in rows], [], True)
-    per_row = time.perf_counter() - start
     calls = []
     kernel = zeta._log_series
     monkeypatch.setattr(zeta, "_log_series", lambda *args: calls.append(len(args[1])) or
                         kernel(*args))
-    batched = math.inf
-    for _ in range(2):  # the better of two runs, as neither keeps a row or a column
+    per_row = batched = math.inf
+    for _ in range(5):  # the best of 5 interleaved runs each, as neither keeps a row or a column
+        start = time.perf_counter()
+        want = zeta._combine(p, [zeta._factor(small_spec, p, kernel(table, [k], [x])[0],
+                                              x.real, x.real > 2.0) for k, x in rows], [], True)
+        per_row = min(per_row, time.perf_counter() - start)
         zeta._SIGMA_LOGS.cache_clear()
         start = time.perf_counter()
         got = ruelle_rho(small_spec, m, s, p)
         batched = min(batched, time.perf_counter() - start)
-    assert calls == [m + 1] * 2
+    assert calls == [m + 1] * 5
     assert same_bits(got.log_value, want.log_value) and got == want
     assert batched <= per_row / 4, (batched, per_row)
+
+
+def test_the_largest_product_fits_the_log_series_cache(small_spec):
+    # every m past M_MAX is refused before a row is summed, so the m + 1 rows
+    # of any product fit the cache, and a second call sums none of them
+    assert zeta.M_MAX + 1 <= zeta.LOG_SERIES_CACHE_SIZE
+    p = EvalParams.for_spectrum(small_spec)
+    zeta._SIGMA_LOGS.cache_clear()
+    first = ruelle_rho(small_spec, zeta.M_MAX, 520.0, p)
+    assert (zeta._SIGMA_LOGS.hits, zeta._SIGMA_LOGS.misses) == (0, zeta.M_MAX + 1)
+    assert ruelle_rho(small_spec, zeta.M_MAX, 520.0, p) == first
+    assert (zeta._SIGMA_LOGS.hits, zeta._SIGMA_LOGS.misses) == (zeta.M_MAX + 1, zeta.M_MAX + 1)
 
 
 def test_a_value_past_a_double_is_refused_where_it_is_read(small_spec):
