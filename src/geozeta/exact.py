@@ -405,9 +405,21 @@ def exact_identity_check(classes: Sequence[ExactClass], identity_id: str, s,
     """Check one identity term-by-term for every (class, power <= max_power).
 
     Returns at the earliest offending term (lowest class index, then lowest
-    power), building no later term.
+    power), building no later term.  A check that cannot decide (an unknown
+    identity, a bad s, m or n, or no term) raises ``ValueError`` first.
     """
-    params = tuple((p, dict(m=m, k=k, n=n)[p]) for p in EXACT_PARAMS.get(identity_id, ()))
+    if identity_id not in EXACT_PARAMS:
+        raise ValueError(f"unknown exact identity {identity_id!r}; "
+                         f"one of {', '.join(EXACT_IDENTITIES)}")
+    _two_s(s)
+    params = tuple((p, dict(m=m, k=k, n=n)[p]) for p in EXACT_PARAMS[identity_id])
+    least = {"m": 0, "n": int(identity_id == "zograf-F")}  # n >= 1 for F, n >= 0 for G
+    for name, value in params:
+        if name in least and value < least[name]:
+            raise ValueError(f"{identity_id} needs {name} >= {least[name]}, got {value}")
+    if max_power < 1 or not classes:
+        raise ValueError(f"{identity_id} decides no term with max_power {max_power} "
+                         f"and {len(classes)} classes")
     for ci, cls in enumerate(classes):
         for mu in range(1, max_power + 1):
             lhs, rhs = identity_terms(identity_id, cls, mu, s, m=m, k=k, n=n)

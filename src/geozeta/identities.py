@@ -22,22 +22,13 @@ The three Zograf checks (``zograf-ratio``, ``corollary-FG`` and
 power m = 2n - 2 + h that the main theorem pairs with F_n or G_n.
 
 The two oracles never read the power table the closed-form evaluators share.
-The brute-force oracle multiplies out the literal (p, q) double product: per
-primitive class one array row holds every factor, its logs come from
-``numerics.log1m_array`` and each row is summed correctly rounded by
-``numerics.fsum_complex_rows``.  Classes go through in chunks of at most
-``ORACLE_CHUNK`` factors (2^14, 256 kB per complex array), and one class's
-row of (m + 1) x (p, q) factors, which is not split, may hold at most
-``ORACLE_ROW_MAX`` (2^16), so the oracle's memory is bounded by these
-budgets, not by the spectrum.  An m whose lambda^m overflows a double on
-some class is refused first, then an m whose row is too long.  The determinant
-oracle rebuilds each class's characteristic polynomial by Newton's
-identities.  Its coefficients do not depend on s, so they are built once per
-(spectrum, m) and kept in an ``lru_cache`` of at most ``NEWTON_CACHE_SIZE``
-(128) entries, each holding m + 2 complex numbers per primitive class; only
-these leaves are cached, and the polynomial is evaluated at every s afresh.
-Both oracles add their per-class logs with ``numerics.fsum_complex``, so
-their values do not depend on class order.
+Both are one kernel, ``_double_product``, which multiplies out the literal
+(p, q) double product over primitive classes: the brute-force oracle takes
+every pair with p + q <= pq_max, the determinant oracle the (p, q) = (0, 0)
+slice, whose factors 1 - lambda^(m-2j) e^(-s l) make up
+det(1 - e^(-s l) rho_m(gamma)).  The kernel's memory is bounded by
+``ORACLE_CHUNK`` and ``ORACLE_ROW_MAX``, not by the spectrum, and its logs
+are summed correctly rounded, so neither oracle depends on class order.
 
 ``battery_reports`` runs the 27 battery checks on two processes where it can:
 when ``os.sched_getaffinity`` lists at least two CPUs and no other Python
@@ -74,18 +65,16 @@ import random
 import signal
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .chars import eigenvalue, sigma_char, trace_rho
+from .chars import eigenvalue, sigma_char
 from .continuation import (EtaNotSuppliedError, ManifoldInvariants, eta_lookup,
                            reflect_selberg, selberg_anywhere)
 from .exact import exact_battery
 from .numerics import fsum_complex, fsum_complex_rows, log1m_array
-from .spectrum import (DomainError, GeodesicEntry, GrowthModel, LengthSpectrum, power_holonomy,
-                       powers_up_to)
+from .spectrum import DomainError, GrowthModel, LengthSpectrum, powers_up_to
 from .torsion import parity_h
 from .zeta import (EvalParams, _exp, _weight_budget, ruelle_rho, selberg_rho, selberg_sigma,
                    zograf_F, zograf_G)
@@ -97,8 +86,6 @@ ORACLE_CHUNK = 2 ** 14
 # deepest pq_max, 90); a 50-class spectrum at this budget takes about 2 s,
 # while the medium fixture's m = 448 row (449 x 378) took 5-7 s for a check.
 ORACLE_ROW_MAX = 2 ** 16
-# (spectrum, m) pairs whose Newton coefficients the determinant oracle keeps
-NEWTON_CACHE_SIZE = 128
 FLAG_CIRCULAR = "circular-given-functional-equation"
 # prctl option: the signal a process gets when its parent ends
 PR_SET_PDEATHSIG = 1
@@ -183,59 +170,6 @@ def _run_grid(identity_id: str, grid, point_fn, tol: float,
 # ---------------------------------------------------------------------------
 # Independent oracles
 
-@lru_cache(maxsize=NEWTON_CACHE_SIZE)
-def _newton_coefficients(spec: LengthSpectrum, m: int) -> tuple[tuple[complex, ...], ...]:
-    """Per primitive class, the coefficients (-1)^j e_j of the characteristic
-    polynomial det(1 - x rho_m(gamma)) = sum_j (-1)^j e_j x^j, with the
-    elementary symmetric e_j rebuilt from power-sum traces by Newton's
-    identities.  They do not depend on s."""
-    dim = m + 1
-    out = []
-    for index, cls in enumerate(spec.primitive_classes()):
-        try:
-            power_sums = [trace_rho(GeodesicEntry(*power_holonomy(
-                cls.length, cls.angle, cls.spin_sign, i)), m) for i in range(1, dim + 1)]
-        except OverflowError:
-            raise DomainError(f"a trace of rho_{m} on a power of class {index} (length "
-                              f"{cls.length!r}, m {m}) overflows a double") from None
-        elem = [1.0 + 0j]
-        for j in range(1, dim + 1):
-            total = 0j
-            for i in range(1, j + 1):
-                total += (-1) ** (i - 1) * elem[j - i] * power_sums[i - 1]
-            elem.append(total / j)
-        out.append(tuple((-1) ** j * elem[j] for j in range(dim + 1)))
-    return tuple(out)
-
-
-def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
-    """Determinant route for the twisted Ruelle zeta, no weight decomposition.
-
-    Per primitive class the characteristic polynomial of the symmetric-power
-    holonomy is rebuilt from power-sum traces via Newton's identities and
-    evaluated at e^(-s l); the product runs over classes only, so the full
-    power series of each determinant is implicit in the closed form.  The
-    polynomial's coefficients come from ``_newton_coefficients``, built once
-    per (spectrum, m); the evaluation at s is done afresh on every call.  A
-    determinant that rounds to 0 raises a ``DomainError`` naming the class.
-    """
-    s = complex(s)
-    class_logs = []
-    for i, (cls, coefficients) in enumerate(zip(spec.primitive_classes(),
-                                                _newton_coefficients(spec, m))):
-        x = cmath.exp(-s * cls.length)
-        det = 0j
-        xp = 1.0 + 0j
-        for c in coefficients:
-            det += c * xp
-            xp *= x
-        if det == 0:
-            raise DomainError(f"det(1 - x rho_{m}) rounds to 0 on class {i} "
-                              f"(length {cls.length!r}, m {m}); its log is undefined")
-        class_logs.append(cls.multiplicity * cmath.log(det))
-    return _exp(fsum_complex(class_logs))
-
-
 def _default_pq_max(spec: LengthSpectrum) -> int:
     if not spec.entries:
         return 8
@@ -257,8 +191,10 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
     most ``ORACLE_CHUNK`` factors (one class when a row alone is longer), so
     memory stays bounded whatever the spectrum's size; an m whose lam^m
     overflows a double on some class is refused first, then a row of more
-    than ``ORACLE_ROW_MAX`` factors.  The power table and the closed-form
-    evaluators are not read, so this stays an independent route.
+    than ``ORACLE_ROW_MAX`` factors, and a factor 1 - x that is exactly 0
+    raises ``DomainError`` naming its class before any log is taken.  The
+    power table and the closed-form evaluators are not read, so this stays an
+    independent route.
     """
     s = complex(s)
     classes = spec.primitive_classes()
@@ -290,10 +226,21 @@ def _double_product(spec: LengthSpectrum, m: int, k: int, s: complex,
         c = (_column([sigma_char(cls, k) for cls in chunk]) * (a ** exponents)[:, pp]
              * (b ** exponents)[:, qq] * _column([cmath.exp(-s * cls.length) for cls in chunk]))
         x = (_column(lams[start:start + per_chunk]) ** weights)[:, :, None] * c[:, None, :]
+        vanishing = np.flatnonzero((x == 1).any(axis=(1, 2)))
+        if vanishing.size:
+            raise DomainError(f"a factor 1 - x of class {start + vanishing[0]} (length "
+                              f"{chunk[vanishing[0]].length!r}, m {m}) is exactly 0; "
+                              "its log is undefined")
         logs = log1m_array(x).reshape(len(chunk), -1)
         class_logs += [cls.multiplicity * log
                        for cls, log in zip(chunk, fsum_complex_rows(logs))]
     return _exp(fsum_complex(class_logs))
+
+
+def ruelle_rho_direct(spec: LengthSpectrum, m: int, s: complex) -> complex:
+    """Determinant route, no weight decomposition: per class, det(1 - e^(-s l) rho_m)
+    as its m + 1 eigenvalue factors, the (p, q) = (0, 0) slice of the double product."""
+    return _double_product(spec, m, 0, s, 0)
 
 
 def selberg_sigma_bruteforce(spec: LengthSpectrum, k: int, s: complex,

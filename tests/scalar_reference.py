@@ -8,8 +8,8 @@ fixed order and a series/principal-log ``log1m``.  ``double_product`` is the
 brute-force Selberg oracle as it ran one class at a time, summed by
 ``math.fsum`` term by term.  ``zograf_direct_log`` is the Zograf direct
 path's k-layer sum as it ran one layer at a time, and ``ruelle_rho_direct``
-the determinant oracle as it rebuilt every class's Newton coefficients at
-each s.  ``power_rows`` turns a power table's columns back into one
+the determinant oracle as it rebuilt every class's characteristic
+polynomial by Newton's identities at each s.  ``power_rows`` turns a power table's columns back into one
 ``GeodesicEntry`` per power, for the per-power loops.  ``listed_log_series``
 is the log-series kernel as it ran when every power was a row of its own,
 computing each character afresh: on an oriented table, which lists every
@@ -135,11 +135,12 @@ def zograf_direct_log(spec, s: complex, p, layer_char, layer_shift) -> complex:
 
 
 def ruelle_rho_direct(spec, m: int, s: complex) -> complex:
-    """The determinant oracle as it rebuilt each class's Newton coefficients at every s.
+    """The determinant oracle as it rebuilt each class's characteristic
+    polynomial det(1 - x rho_m) from power-sum traces by Newton's identities.
 
-    ``identities.ruelle_rho_direct`` takes the s-independent coefficients
-    (-1)^j e_j from a cache and evaluates the same polynomial by the same
-    operations, so this loop is its bit-for-bit reference.
+    ``identities.ruelle_rho_direct`` multiplies the eigenvalue factors
+    1 - lambda^(m-2j) x instead, so this loop is an independent route to the
+    same value, equal to within rounding.
     """
     s = complex(s)
     dim = m + 1

@@ -412,7 +412,9 @@ def test_shortest_length_too_small_for_the_selberg_bound(tmp_path, capsys):
 
 
 def test_vanishing_determinant_names_the_class(tmp_path):
-    # det(1 - x rho_1) of a class of length 1e-300 rounds to 0 at every point
+    # det(1 - x rho_1) of a class of length 1e-300 is about 1e-601 at every
+    # point: no factor 1 - x is exactly 0 (x = 1 - 3e-301 i), but the log of
+    # their product underflows a double when it is exponentiated
     spec = tmp_path / "tiny.json"
     spec.write_text(json.dumps({"l_max": 2.0, "entries": [
         {"length": 1e-300, "angle": 0.0, "spin_sign": 1, "multiplicity": 1}]}))
@@ -422,8 +424,8 @@ def test_vanishing_determinant_names_the_class(tmp_path):
     points = json.loads(out.read_text())["points"]
     assert len(points) == 8
     for point in points:
-        assert point["flags"] == ["error: det(1 - x rho_1) rounds to 0 on class 0 "
-                                  "(length 1e-300, m 1); its log is undefined"]
+        assert point["flags"] == ["error: exp of the log series "
+                                  "(-1383.9590014050793+3.141592653589793j) underflows a double"]
 
 
 def test_grid_cap_refuses_before_allocating(spec_file, capsys):
@@ -518,14 +520,21 @@ def test_verify_on_a_table_past_the_work_limit_flags_every_point(tmp_path, capsy
         "", f"error: m={zeta.M_MAX + 1} is too large: the limit on m is {zeta.M_MAX}\n")
 
 
-def test_an_overflowing_trace_flags_every_point(spec_file, capsys):
-    # rho_25 traces of the fixture's longer powers pass 1e308
+def test_the_determinant_oracle_overflows_only_at_lambda_m(spec_file, capsys):
+    # rho_25 traces of the fixture's longer powers pass 1e308, but the
+    # determinant oracle multiplies eigenvalue factors and reads no trace:
+    # m = 25 passes, and only lambda^600 = e^870 of the class of length 2.9
+    # is past a double
     assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", "25",
+                       "--spectrum", spec_file]) == 0
+    doc = strict_loads(capsys.readouterr().out)
+    assert doc["passed"] and len(doc["points"]) == 8 and doc["max_residual"] <= 1e-14
+    assert entry.main(["verify", "--identity", "prop-ruelle-dec", "--m", "600",
                        "--spectrum", spec_file]) == 1
     doc = strict_loads(capsys.readouterr().out)
     assert not doc["passed"] and len(doc["points"]) == 8
     assert all(pt["residual"] is None and pt["flags"] == [
-        "error: a trace of rho_25 on a power of class 1 (length 2.3, m 25) overflows a double"]
+        "error: lambda^600 of class 2 (length 2.9, m 600) overflows a double"]
         for pt in doc["points"])
 
 
@@ -814,13 +823,13 @@ def test_csv_writes_non_finite_as_empty_field(tmp_path, spec_file):
 
 
 def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
-    # the second run in one process reuses the Newton, exact and power-table
-    # caches the first one filled, and must not change a byte of the report;
+    # the second run in one process reuses the exact and power-table caches
+    # the first one filled, and must not change a byte of the report;
     # serial, so that every check fills and reads this process's caches
     monkeypatch.setattr(identities, "_usable_cpus", lambda: 1)
-    caches = (identities._newton_coefficients, exact._q_sqrt_power, exact._u_half_power,
-              exact._denominators, exact._trace_core, spectrum._power_table,
-              spectrum._expanded_classes, spectrum._fit_growth, zeta._k_top, zeta._SIGMA_LOGS)
+    caches = (exact._q_sqrt_power, exact._u_half_power, exact._denominators, exact._trace_core,
+              spectrum._power_table, spectrum._expanded_classes, spectrum._fit_growth,
+              zeta._k_top, zeta._SIGMA_LOGS)
     for cache in caches:
         cache.cache_clear()
     here = Path(fixtures.__file__).parent
@@ -834,7 +843,7 @@ def test_verify_all_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
                          "--output", str(out)]) == 0
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
-    for cache in (identities._newton_coefficients, exact._denominators, spectrum._power_table):
+    for cache in (exact._denominators, spectrum._power_table):
         assert cache.cache_info().hits > 0
     assert zeta._SIGMA_LOGS.hits > 0
 

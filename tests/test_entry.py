@@ -254,7 +254,7 @@ def test_package_exceptions_survive_pickling(make, attrs):
 
 @pytest.mark.parametrize("argv, status", [
     (["verify", "--identity", "four-selberg", "--m", "1", "--spectrum", SPECTRA[0]], 0),
-    (["verify", "--identity", "prop-ruelle-dec", "--m", "25", "--spectrum", SPECTRA[0]], 1),
+    (["verify", "--identity", "selberg-rho-dec", "--m", "700", "--spectrum", SPECTRA[0]], 1),
     (["eval", "--spectrum", SPECTRA[0], "--kind", "ruelle-rho", "--m", "10000000",
       "--s", "3"], 2),
 ], ids=["passed", "failed", "refused"])

@@ -249,9 +249,33 @@ class TestExactClass:
 
 class TestExactChecks:
     def test_vacuous_empty_class_list(self):
-        result = exact_identity_check([], "four-selberg", 5, 6, m=2)
-        assert result.passed
-        assert result.first_failure is None
+        # with no class there is no term, and a check that decides nothing is refused
+        with pytest.raises(ValueError, match="^four-selberg decides no term with max_power 6 "
+                                             "and 0 classes$"):
+            exact_identity_check([], "four-selberg", 5, 6, m=2)
+
+    @pytest.mark.parametrize("classes, identity, s, max_power, params, message", [
+        ([], "nope", Fraction(1, 3), 6, {}, "^unknown exact identity 'nope'; one of "),
+        ([], "ruelle-dec", Fraction(1, 3), 6, {}, "^s=1/3 is not exactable"),
+        (FIXTURE_CLASSES, "ruelle-dec", 5, 6, {"m": -3}, "^ruelle-dec needs m >= 0, got -3$"),
+        (FIXTURE_CLASSES, "selberg-rho-dec", 5, 6, {"m": -1, "k": 1},
+         "^selberg-rho-dec needs m >= 0, got -1$"),
+        (FIXTURE_CLASSES, "zograf-F", 5, 6, {"n": 0}, "^zograf-F needs n >= 1, got 0$"),
+        (FIXTURE_CLASSES, "zograf-G", 5, 6, {"n": -1}, "^zograf-G needs n >= 0, got -1$"),
+        (FIXTURE_CLASSES, "ruelle-dec", 5, 0, {"m": 2},
+         "^ruelle-dec decides no term with max_power 0 and 3 classes$"),
+    ], ids=["identity", "s", "m", "m-selberg", "n-F", "n-G", "max-power"])
+    def test_a_check_that_decides_nothing_is_refused(self, monkeypatch, classes, identity, s,
+                                                     max_power, params, message):
+        # each of these returned passed with no term decided; now no term is built
+        monkeypatch.setattr(exact, "identity_terms", None)
+        with pytest.raises(ValueError, match=message):
+            exact_identity_check(classes, identity, s, max_power, **params)
+
+    def test_the_least_admitted_parameters_pass(self):
+        assert exact_identity_check(FIXTURE_CLASSES, "zograf-F", 5, 4, n=1).passed
+        assert exact_identity_check(FIXTURE_CLASSES, "zograf-G", 5, 4, n=0).passed
+        assert exact_identity_check(FIXTURE_CLASSES, "ruelle-dec", 5, 4, m=0).passed
 
     def test_all_identities_one_point(self):
         for identity in EXACT_IDENTITIES:

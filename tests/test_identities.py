@@ -2,6 +2,7 @@ import cmath
 import math
 import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -388,52 +389,48 @@ def test_the_verdict_is_derived_from_the_points(residuals, passed, max_residual)
         IdentityReport("x", 1e-8, True, 0.0, ())
 
 
-def same_bits(got: complex, want: complex) -> bool:
-    return (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
-
-
-@pytest.fixture
-def cold_newton_cache():
-    # each test starts and leaves the determinant oracle's coefficient cache empty
-    identities._newton_coefficients.cache_clear()
-    yield identities._newton_coefficients
-    identities._newton_coefficients.cache_clear()
-
-
 class TestNewtonOracle:
+    # the determinant oracle is the (p, q) = (0, 0) slice of the double
+    # product; Newton's identities on power-sum traces, in the scalar
+    # reference, are the independent route it is held to
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_matches_the_per_class_loop(self, small_spec, medium_spec, m):
         for spec in (small_spec, flip_spins(small_spec), medium_spec, flip_spins(medium_spec),
                      EMPTY):
             for s in (3.0 + m / 2 + 0.3j, 4.1 - 1.2j, 2.6 + m / 2):
-                assert same_bits(identities.ruelle_rho_direct(spec, m, s),
-                                 scalar_reference.ruelle_rho_direct(spec, m, s))
+                got = identities.ruelle_rho_direct(spec, m, s)
+                want = scalar_reference.ruelle_rho_direct(spec, m, s)
+                assert abs(cmath.log(got / want)) <= 1e-13
 
-    def test_coefficients_built_once_per_spectrum_and_m(self, small_spec, cold_newton_cache):
-        report = verify_ruelle_decomposition(small_spec, 2)
-        assert report.passed and len(report.points) == 8
-        verify_ruelle_decomposition(small_spec, 1)
-        info = cold_newton_cache.cache_info()
-        assert (info.misses, info.hits) == (2, 14)
-        assert info.maxsize == identities.NEWTON_CACHE_SIZE
-
-    @pytest.mark.parametrize("target", ["power_holonomy", "trace_rho"])
-    def test_injected_fault_fails_prop_ruelle_dec(self, small_spec, monkeypatch,
-                                                  cold_newton_cache, target):
-        real = getattr(identities, target)
-        if target == "power_holonomy":
-            def faulty(length, angle, spin_sign, m):
-                length, angle, sign = real(length, angle, spin_sign, m)
-                return length * 1.001, angle, sign
-        else:
-            def faulty(h, m):
-                return real(h, m) * 1.001
-        monkeypatch.setattr(identities, target, faulty)
-        report = run_identity("prop-ruelle-dec", small_spec, None, m=2)
+    @pytest.mark.parametrize("identity, params", [
+        ("prop-ruelle-dec", {"m": 2}), ("selberg-rho-dec", {"m": 2, "k": 2})],
+        ids=["prop-ruelle-dec", "selberg-rho-dec"])
+    def test_an_injected_eigenvalue_fault_fails_both_oracles(self, small_spec, monkeypatch,
+                                                             identity, params):
+        # both oracles read the lifted eigenvalue through the one kernel
+        real = identities.eigenvalue
+        monkeypatch.setattr(identities, "eigenvalue", lambda h: real(h) * 1.001)
+        report = run_identity(identity, small_spec, None, **params)
         assert not report.passed and report.max_residual > 1e-6
         monkeypatch.undo()
-        cold_newton_cache.cache_clear()
-        assert run_identity("prop-ruelle-dec", small_spec, None, m=2).passed
+        assert run_identity(identity, small_spec, None, **params).passed
+
+    @pytest.mark.parametrize("oracle", [
+        lambda spec: identities.ruelle_rho_direct(spec, 1, 3.0),
+        lambda spec: identities.selberg_sigma_bruteforce(spec, 1, 3.0),
+        lambda spec: identities.selberg_rho_bruteforce(spec, 1, 0, 3.0)],
+        ids=["determinant", "selberg-sigma", "selberg-rho"])
+    def test_a_factor_that_is_exactly_0_names_its_class(self, oracle):
+        # e^(-3 l) rounds to 1.0 on both classes; at angle 0 the eigenvalue
+        # and sigma_1 are 1.0 too, so class 1 has a factor 1 - x = 0, which is
+        # named before any log is taken, with no numpy warning
+        tiny = LengthSpectrum.build([GeodesicEntry(1e-300, 0.5, 1, 1),
+                                     GeodesicEntry(2e-300, 0.0, 1, 1)], 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^a factor 1 - x of class 1 \(length "
+                               r"2e-300, m [01]\) is exactly 0; its log is undefined$"):
+                oracle(tiny)
 
 
 # unoriented, with two angle-0 entries: each mirror is (0, flipped sign)
@@ -448,8 +445,7 @@ class TestAngleZeroMirrors:
 
     @pytest.mark.parametrize("identity, params", [
         ("prop-ruelle-dec", {"m": 1}), ("selberg-rho-dec", {"m": 1, "k": 0})])
-    def test_an_unflipped_mirror_fails_the_battery(self, monkeypatch, cold_newton_cache,
-                                                   identity, params):
+    def test_an_unflipped_mirror_fails_the_battery(self, monkeypatch, identity, params):
         # the oracles read the classes of spectrum._expanded_classes, the
         # evaluators the power table, which builds its mirrors on its own
         def unflipped(spec):
@@ -460,7 +456,6 @@ class TestAngleZeroMirrors:
 
         assert run_identity(identity, ANGLE_ZERO, None, **params).passed
         monkeypatch.setattr(spectrum, "_expanded_classes", unflipped)
-        cold_newton_cache.cache_clear()
         report = run_identity(identity, ANGLE_ZERO, None, **params)
         assert not report.passed and report.max_residual > 1e-3
 

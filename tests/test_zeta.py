@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -334,15 +335,24 @@ def test_a_symmetric_power_point_is_one_kernel_call(monkeypatch, small_spec):
     monkeypatch.setattr(zeta, "_log_series", lambda *args: calls.append(len(args[1])) or
                         kernel(*args))
     per_row = batched = math.inf
-    for _ in range(5):  # the best of 5 interleaved runs each, as neither keeps a row or a column
-        start = time.perf_counter()
-        want = zeta._combine(p, [zeta._factor(small_spec, p, kernel(table, [k], [x])[0],
-                                              x.real, x.real > 2.0) for k, x in rows], [], True)
-        per_row = min(per_row, time.perf_counter() - start)
-        zeta._SIGMA_LOGS.cache_clear()
-        start = time.perf_counter()
-        got = ruelle_rho(small_spec, m, s, p)
-        batched = min(batched, time.perf_counter() - start)
+    # this thread's CPU time, with no collection running, so that other
+    # processes on the machine and a collection pause stay out of the ratio
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # the best of 5 interleaved runs each, as neither keeps a row or a column
+        for _ in range(5):
+            start = time.thread_time()
+            want = zeta._combine(p, [zeta._factor(small_spec, p, kernel(table, [k], [x])[0],
+                                                  x.real, x.real > 2.0) for k, x in rows], [], True)
+            per_row = min(per_row, time.thread_time() - start)
+            zeta._SIGMA_LOGS.cache_clear()
+            start = time.thread_time()
+            got = ruelle_rho(small_spec, m, s, p)
+            batched = min(batched, time.thread_time() - start)
+    finally:
+        if collecting:
+            gc.enable()
     assert calls == [m + 1] * 5
     assert same_bits(got.log_value, want.log_value) and got == want
     assert batched <= per_row / 4, (batched, per_row)
